@@ -72,10 +72,10 @@ class TauPower:
     c: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.c > 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"c must be finite and > 0, got {self.c}")
 
     @property
     def name(self) -> str:
@@ -89,13 +89,17 @@ def tau(p: AllocationPolicy, M: int) -> int:
     """Outer count prescribed by the policy at inner count M.
 
     FixedOuter returns its pinned N regardless of M.  FixedInner pins M and
-    has no outer-count rule, so asking for tau is an error.
+    has no outer-count rule, so asking for tau is an error, and so is an
+    outer count too large for a float.
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
     if isinstance(p, TauPower):
-        v = p.c * float(M) ** p.alpha
-        r = round(v)
+        try:
+            v = p.c * float(M) ** p.alpha
+            r = round(v)
+        except OverflowError:
+            raise ValueError(f"{p.name} overflows at M={M}") from None
         if abs(v - r) <= _SNAP * max(1.0, abs(r)):
             v = r
         return max(1, math.ceil(v))

@@ -111,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         sp.add_argument("--workers", type=int, default=1,
-                        help="worker threads; output is identical for any value")
+                        help="worker threads, at most one per core; "
+                             "output is identical for any value")
 
     c = sub.add_parser("converge", help="MSE vs total budget under one policy")
     c.add_argument("--model", required=True)
@@ -235,12 +236,27 @@ def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _check_run(cfg: RunConfig) -> None:
+    """Faults in --workers and --out, caught before any computation."""
+    if cfg.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {cfg.workers}")
+    if cfg.out is not None:
+        folder = os.path.dirname(os.path.abspath(cfg.out))
+        if not os.path.isdir(folder):
+            raise ValueError(f"--out directory {folder!r} does not exist")
+        if os.path.isdir(cfg.out):
+            raise ValueError(f"--out {cfg.out!r} is a directory")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as err:
+        raise ValueError(f"cannot write --out {out!r}: {err.strerror}") from None
 
 
 def _slope_comment(fit: Optional[SlopeFit], note: str, label: str = "slope") -> str:
@@ -399,6 +415,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = e.code
         return code if isinstance(code, int) else 2
     try:
+        _check_run(cfg)
         return _DISPATCH[cfg.sub](cfg)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -7,7 +7,10 @@ makes results independent of evaluation order and worker count.
 
 Vectorized and per-draw scalar sampling paths produce bit-identical values:
 batched draws reproduce the scalar stream outputs exactly, and reductions
-use numpy's pairwise mean in both layouts.
+use numpy's pairwise mean in both layouts.  The same holds across
+replications: ``nmc_replications`` evaluates a block of replications as one
+(R, N, M) array, reducing each replication's contiguous last axis exactly
+as ``nmc_estimate`` reduces its own.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ __all__ = [
     "mc_estimate",
     "inner_estimate",
     "nmc_estimate",
+    "nmc_block_reps",
+    "nmc_replications",
     "nmc_estimate_depth",
     "collapsed_estimate",
 ]
@@ -34,6 +39,12 @@ __all__ = [
 # depend only on (N, M), never on worker count, so chunking cannot affect
 # determinism.
 _CHUNK = 1 << 16
+
+# Max elements per replication block of nmc_replications, which draws
+# _REP_BLOCK // (N*M) replications as one (R, N, M) array.  Smaller than
+# _CHUNK to keep peak memory where the per-replication path had it; block
+# grouping never changes values.
+_REP_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,6 +69,10 @@ class Estimate:
     @property
     def valid(self) -> bool:
         return self.degenerate_count < self.n_outer
+
+
+def _batched(p: NestedProblem) -> bool:
+    return p.outer_batch is not None and p.inner_batch is not None
 
 
 def _finalize(fv: np.ndarray) -> tuple:
@@ -100,17 +115,17 @@ def mc_estimate(sampler: Callable, integrand: Callable, N: int, s: RngStream,
     )
 
 
-def _mean_in_chunks(values_for: Callable, M: int) -> float:
-    """Mean of M values produced range-wise by values_for(lo, hi).
+def _chunked_mean(values_for: Callable, count: int) -> float:
+    """Mean of `count` values produced range-wise by values_for(lo, hi).
 
     A single pairwise np.mean when everything fits in one chunk; otherwise
-    chunk sums combined once and divided.  Chunk edges depend only on M.
+    chunk sums combined once and divided.  Chunk edges depend only on count.
     """
-    if M <= _CHUNK:
-        return float(np.mean(values_for(0, M)))
-    parts = [np.add.reduce(values_for(lo, min(lo + _CHUNK, M)))
-             for lo in range(0, M, _CHUNK)]
-    return float(np.add.reduce(np.array(parts)) / M)
+    if count <= _CHUNK:
+        return float(np.mean(values_for(0, count)))
+    parts = [np.add.reduce(values_for(lo, min(lo + _CHUNK, count)))
+             for lo in range(0, count, _CHUNK)]
+    return float(np.add.reduce(np.array(parts)) / count)
 
 
 def inner_estimate(p: NestedProblem, y, M: int, s: RngStream) -> float:
@@ -125,7 +140,20 @@ def inner_estimate(p: NestedProblem, y, M: int, s: RngStream) -> float:
         def values_for(lo, hi):
             return np.array([p.phi(y, p.inner_sampler(split(s, m), y))
                              for m in range(lo, hi)], dtype=float)
-    return _mean_in_chunks(values_for, M)
+    return _chunked_mean(values_for, M)
+
+
+def _block_terms(p: NestedProblem, outer, inner, idx: np.ndarray,
+                 mhash: np.ndarray) -> np.ndarray:
+    """Outer terms f(y_n, inner mean) for the outer draws `idx` of every stream.
+
+    `outer` and `inner` are a replication's <0> and <1> children, as an
+    RngStream or as a StreamBatch of them; the result has their shape plus
+    idx's.  The inner mean reduces the contiguous last axis of length M.
+    """
+    y = p.outer_batch(outer.split_many(idx))
+    z = p.inner_batch(inner.split_many(idx).split_hashed(mhash), y[..., None])
+    return p.f(y, np.mean(p.phi(y[..., None], z), axis=-1))
 
 
 def _nmc_terms(p: NestedProblem, N: int, M: int, s: RngStream) -> np.ndarray:
@@ -133,26 +161,16 @@ def _nmc_terms(p: NestedProblem, N: int, M: int, s: RngStream) -> np.ndarray:
     s_outer = split(s, 0)
     s_inner = split(s, 1)
     fv = np.empty(N, dtype=float)
-    batched = p.outer_batch is not None and p.inner_batch is not None
-    rows = max(1, _CHUNK // M) if batched else 0
+    rows = _CHUNK // M
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if batched and rows > 1:
+        if _batched(p) and rows > 1:
             mhash = index_hash(np.arange(M, dtype=np.uint64))
             for lo in range(0, N, rows):
-                hi = min(lo + rows, N)
-                idx = np.arange(lo, hi, dtype=np.uint64)
-                y = p.outer_batch(s_outer.split_many(idx))
-                blocks = s_inner.split_many(idx)
-                z = p.inner_batch(blocks.split_hashed(mhash), y[:, None])
-                gam = np.mean(p.phi(y[:, None], z), axis=-1)
-                fv[lo:hi] = p.f(y, gam)
-        elif batched:
-            # M too large to batch across rows: vectorize within each row.
-            for n in range(N):
-                y = p.outer_sampler(split(s_outer, n))
-                gam = inner_estimate(p, y, M, split(s_inner, n))
-                fv[n] = p.f(y, gam)
+                idx = np.arange(lo, min(lo + rows, N), dtype=np.uint64)
+                fv[lo:lo + idx.size] = _block_terms(p, s_outer, s_inner, idx, mhash)
         else:
+            # No batch samplers, or M too large to batch across rows: one
+            # inner estimate per outer draw, vectorized within the row if it can be.
             for n in range(N):
                 y = p.outer_sampler(split(s_outer, n))
                 gam = inner_estimate(p, y, M, split(s_inner, n))
@@ -184,20 +202,60 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     )
 
 
+def nmc_block_reps(p: NestedProblem, N: int, M: int) -> int:
+    """Replications that nmc_replications draws per block for an N x M row.
+
+    The count depends only on (N, M).  It is 0 when the row is not batched
+    across replications: N*M above the block budget, or a model without
+    batch samplers.  Such rows go replication by replication through
+    nmc_estimate.
+    """
+    if not _batched(p) or N * M > _REP_BLOCK:
+        return 0
+    return _REP_BLOCK // (N * M)
+
+
+def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
+                     lo: int, hi: int) -> tuple:
+    """Replications lo..hi-1 of the nested estimator on the children of `row`.
+
+    Returns (values, degenerate_fracs), two float arrays of length hi - lo.
+    Entry r - lo equals nmc_estimate(p, N, M, row.split(r)).value and its
+    degenerate_count / N bit for bit, whatever the span.  Replications are
+    drawn nmc_block_reps(p, N, M) at a time; rows that this returns 0 for
+    are rejected.
+    """
+    if N < 1 or M < 1:
+        raise ValueError(f"N and M must be >= 1, got {N}, {M}")
+    R_blk = nmc_block_reps(p, N, M)
+    if R_blk == 0:
+        raise ValueError(f"an {N}x{M} row of {p.name!r} is not batched across replications")
+    values = np.empty(hi - lo, dtype=np.float64)
+    degenerate = np.empty(hi - lo, dtype=np.int64)
+    idx = np.arange(N, dtype=np.uint64)
+    mhash = index_hash(np.arange(M, dtype=np.uint64))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a in range(lo, hi, R_blk):
+            b = min(a + R_blk, hi)
+            reps = row.split_many(np.arange(a, b, dtype=np.uint64))
+            fv = _block_terms(p, reps.split(0), reps.split(1), idx, mhash)
+            part = slice(a - lo, b - lo)
+            values[part] = np.mean(fv, axis=-1)
+            degenerate[part] = N - np.count_nonzero(np.isfinite(fv), axis=-1)
+            # Replications with excluded terms take nmc_estimate's own reduction.
+            for k in np.flatnonzero(degenerate[part]):
+                values[a - lo + k] = _finalize(fv[k])[0]
+    return values, degenerate / N
+
+
 def _tree_level(t: ProblemTree, counts: Sequence[int], s: RngStream,
                 ancestors: tuple) -> np.ndarray:
     """Values of one tree level's terms; leaf levels split directly by draw."""
     N = counts[0]
     if t.child is None:
-        def values_for(lo, hi):
-            return np.array(
-                [t.integrand(ancestors, t.sampler(split(s, m), ancestors))
-                 for m in range(lo, hi)], dtype=float)
         # Return the term array so the caller controls the reduction.
-        if N <= _CHUNK:
-            return values_for(0, N)
-        return np.concatenate([values_for(lo, min(lo + _CHUNK, N))
-                               for lo in range(0, N, _CHUNK)])
+        return np.array([t.integrand(ancestors, t.sampler(split(s, m), ancestors))
+                         for m in range(N)], dtype=float)
     s_draw = split(s, 0)
     s_block = split(s, 1)
     out = np.empty(N, dtype=float)
@@ -206,17 +264,9 @@ def _tree_level(t: ProblemTree, counts: Sequence[int], s: RngStream,
             x = t.sampler(split(s_draw, n), ancestors)
             child_terms = _tree_level(t.child, counts[1:], split(s_block, n),
                                       ancestors + (x,))
-            w = _mean_reduce(child_terms, counts[1])
+            w = _chunked_mean(lambda lo, hi: child_terms[lo:hi], counts[1])
             out[n] = t.integrand(ancestors, x, w)
     return out
-
-
-def _mean_reduce(terms: np.ndarray, count: int) -> float:
-    if count <= _CHUNK:
-        return float(np.mean(terms))
-    parts = [np.add.reduce(terms[lo:min(lo + _CHUNK, count)])
-             for lo in range(0, count, _CHUNK)]
-    return float(np.add.reduce(np.array(parts)) / count)
 
 
 def nmc_estimate_depth(t: ProblemTree, counts: Sequence[int], s: RngStream) -> Estimate:
@@ -234,7 +284,7 @@ def nmc_estimate_depth(t: ProblemTree, counts: Sequence[int], s: RngStream) -> E
         raise ValueError(f"all counts must be >= 1, got {counts}")
     terms = _tree_level(t, counts, s, ())
     if t.depth == 1:
-        value, degenerate = _mean_reduce(terms, counts[0]), 0
+        value, degenerate = _chunked_mean(lambda lo, hi: terms[lo:hi], counts[0]), 0
     else:
         value, degenerate = _finalize(terms)
     total = 1
@@ -264,9 +314,8 @@ def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     fv = np.empty(N, dtype=float)
-    batched = p.outer_batch is not None and p.inner_batch is not None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if batched:
+        if _batched(p):
             for lo in range(0, N, _CHUNK):
                 hi = min(lo + _CHUNK, N)
                 b = s.split_many(np.arange(lo, hi, dtype=np.uint64))

@@ -4,12 +4,15 @@ Every runner follows the same pattern: a grid of configurations, R
 independent replications per grid row on streams derived from
 ``split(split(s, row_index), rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
-bit-identical across runs and worker counts.
+bit-identical across runs and worker counts.  Nested rows small enough for
+``nmc_replications`` are evaluated a block of replications at a time; the
+rest go replication by replication, with the same values either way.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Tuple
@@ -17,7 +20,8 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .allocation import AllocationPolicy, FixedInner, split_budget
-from .estimators import collapsed_estimate, nmc_estimate
+from .estimators import (collapsed_estimate, nmc_block_reps, nmc_estimate,
+                         nmc_replications)
 from .problem import NestedProblem
 from .rng import RngStream
 
@@ -140,22 +144,45 @@ def _require_truth(p: NestedProblem) -> float:
     return float(p.truth)
 
 
-def _fill_replications(est_fn: Callable[[RngStream], "object"], row_stream: RngStream,
-                       R: int, workers: int) -> tuple:
-    """Run R independent replications, assembled by index.
+# span(row_stream, lo, hi) -> (values, degenerate_fracs) of replications lo..hi-1.
+_SpanFn = Callable[[RngStream, int, int], tuple]
 
-    Chunking only affects scheduling; values land at vals[r] regardless,
-    so output is identical for any worker count.
+
+def _one_by_one(est_fn: Callable[[RngStream], "object"]) -> _SpanFn:
+    """Span function calling est_fn once per replication stream row.split(r)."""
+    def span(row_stream, lo, hi):
+        ests = [est_fn(row_stream.split(r)) for r in range(lo, hi)]
+        return (np.array([e.value for e in ests], dtype=np.float64),
+                np.array([e.degenerate_count / e.n_outer for e in ests], dtype=np.float64))
+    return span
+
+
+def _nmc_span(p: NestedProblem, N: int, M: int) -> _SpanFn:
+    """Nested-estimator replications: batched when the row is small enough."""
+    if nmc_block_reps(p, N, M):
+        return lambda row_stream, lo, hi: nmc_replications(p, N, M, row_stream, lo, hi)
+    return _one_by_one(lambda stream: nmc_estimate(p, N, M, stream))
+
+
+def _fill_replications(span_fns: Sequence[_SpanFn], row_stream: RngStream, R: int,
+                       workers: int) -> tuple:
+    """Run R independent replications of each span function, assembled by index.
+
+    Returns (values, degenerate_fracs), both of shape (len(span_fns), R).
+    Replication r of every span function uses the stream row_stream.split(r).
+    Spans only affect scheduling; values land at [j, r] regardless, so
+    output is identical for any worker count.  The pool never has more
+    threads than the machine has cores.
     """
-    vals = np.empty(R, dtype=np.float64)
-    degf = np.empty(R, dtype=np.float64)
+    vals = np.empty((len(span_fns), R), dtype=np.float64)
+    degf = np.empty((len(span_fns), R), dtype=np.float64)
 
     def fill(span):
-        for r in range(span[0], span[1]):
-            e = est_fn(row_stream.split(r))
-            vals[r] = e.value
-            degf[r] = e.degenerate_count / e.n_outer
+        lo, hi = span
+        for j, span_fn in enumerate(span_fns):
+            vals[j, lo:hi], degf[j, lo:hi] = span_fn(row_stream, lo, hi)
 
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         fill((0, R))
     else:
@@ -212,7 +239,7 @@ def _fit_rows(rows: Sequence[ConvergenceRow], drop_smallest: int,
 
 def _convergence_sweep(p: NestedProblem, policy: Optional[AllocationPolicy],
                        splits: Sequence[Tuple[int, int, int]], R: int, s: RngStream,
-                       est_for: Callable[[int, int], Callable[[RngStream], "object"]],
+                       span_for: Callable[[int, int], _SpanFn],
                        rep_schedule: Optional[Mapping[int, int]], drop_smallest: int,
                        workers: int) -> ConvergenceReport:
     truth = _require_truth(p)
@@ -220,8 +247,8 @@ def _convergence_sweep(p: NestedProblem, policy: Optional[AllocationPolicy],
     rows = []
     for idx, (T, N, M) in enumerate(splits):
         R_T = _reps_for(T, R, rep_schedule)
-        vals, degf = _fill_replications(est_for(N, M), s.split(idx), R_T, workers)
-        mean, mse, mse_se, dfrac = _row_statistics(vals, degf, truth)
+        vals, degf = _fill_replications([span_for(N, M)], s.split(idx), R_T, workers)
+        mean, mse, mse_se, dfrac = _row_statistics(vals[0], degf[0], truth)
         rows.append(ConvergenceRow(T=T, N=N, M=M, reps=R_T, mean=mean, mse=mse,
                                    mse_se=mse_se, degenerate_frac=dfrac,
                                    flagged=dfrac >= DEGENERATE_ROW_THRESHOLD))
@@ -251,8 +278,7 @@ def run_convergence(p: NestedProblem, policy: AllocationPolicy, budgets: Sequenc
     for T in _budget_list(budgets):
         N, M = split_budget(policy, T)
         splits.append((T, N, M))
-    est_for = lambda N, M: (lambda stream: nmc_estimate(p, N, M, stream))
-    return _convergence_sweep(p, policy, splits, R, s, est_for,
+    return _convergence_sweep(p, policy, splits, R, s, lambda N, M: _nmc_span(p, N, M),
                               rep_schedule, drop_smallest, workers)
 
 
@@ -265,8 +291,8 @@ def run_collapsed_convergence(p: NestedProblem, Ns: Sequence[int], R: int, s: Rn
     is 1.  Requires a model with linear_g.
     """
     splits = [(N, N, 1) for N in _budget_list(Ns)]
-    est_for = lambda N, M: (lambda stream: collapsed_estimate(p, N, stream))
-    return _convergence_sweep(p, None, splits, R, s, est_for,
+    span_for = lambda N, M: _one_by_one(lambda stream: collapsed_estimate(p, N, stream))
+    return _convergence_sweep(p, None, splits, R, s, span_for,
                               rep_schedule, drop_smallest, workers)
 
 
@@ -286,8 +312,7 @@ def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, 
     for idx, M in enumerate(sorted({int(M) for M in Ms})):
         if M < 1:
             raise ValueError(f"inner counts must be >= 1, got {M}")
-        vals, _ = _fill_replications(lambda stream: nmc_estimate(p, N, M, stream),
-                                     s.split(idx), R, workers)
+        vals = _fill_replications([_nmc_span(p, N, M)], s.split(idx), R, workers)[0][0]
         mean_error = float(np.mean(vals)) - truth
         se = float(np.sqrt(np.var(vals, ddof=1) / R))
         predicted = None
@@ -337,22 +362,8 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
     if not policies:
         raise ValueError("need at least one policy to compare")
     splits = [split_budget(policy, T) for policy in policies]
-
-    errs = np.empty((len(policies), R), dtype=np.float64)
-
-    def fill(span):
-        for r in range(span[0], span[1]):
-            rep_stream = s.split(r)
-            for j, (N, M) in enumerate(splits):
-                errs[j, r] = nmc_estimate(p, N, M, rep_stream).value - truth
-
-    if workers <= 1:
-        fill((0, R))
-    else:
-        step = max(1, math.ceil(R / (workers * 4)))
-        spans = [(lo, min(lo + step, R)) for lo in range(0, R, step)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(fill, spans))
+    vals, _ = _fill_replications([_nmc_span(p, N, M) for N, M in splits], s, R, workers)
+    errs = vals - truth
 
     stats = []
     for j, (N, M) in enumerate(splits):

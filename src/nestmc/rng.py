@@ -217,6 +217,10 @@ class StreamBatch:
     def shape(self) -> tuple[int, ...]:
         return self.keys.shape
 
+    def split(self, index: int) -> "StreamBatch":
+        """Child `index` of every stream in the batch; the shape is unchanged."""
+        return StreamBatch(_mix_u64(self.keys ^ index_hash([index & _MASK64])[0]))
+
     def split_many(self, indices) -> "StreamBatch":
         """Child batch of shape `self.shape + indices.shape`."""
         idx = np.asarray(indices, dtype=np.uint64)

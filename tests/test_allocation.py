@@ -1,5 +1,7 @@
 """Budget policies: formulas, feasibility/maximality, grids, CLI spellings."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,10 @@ def test_tau_faults():
         tau(TauPower(1, 1), 0)
     with pytest.raises(ValueError):
         tau(FixedInner(5), 10)  # pins M, no outer-count formula
+    with pytest.raises(ValueError):
+        tau(TauPower(1e308, 1), 2)  # 2.0 ** 1e308 overflows
+    with pytest.raises(ValueError):
+        tau(TauPower(1, 1e308), 10)  # 1e309 is inf, and ceil(inf) overflows
 
 
 def test_split_budget_pinned_examples():
@@ -56,6 +62,9 @@ def test_policy_field_validation():
         TauPower(-0.5, 1)
     with pytest.raises(ValueError):
         TauPower(1, 0)
+    for alpha, c in ((1, math.inf), (math.inf, 1), (1, math.nan)):
+        with pytest.raises(ValueError):
+            TauPower(alpha, c)
     with pytest.raises(ValueError):
         FixedInner(0)
     with pytest.raises(ValueError):

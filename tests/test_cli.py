@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from nestmc import cli
 from nestmc.cli import RunConfig, _cell, main
 from nestmc.models import CATALOG
 
@@ -99,11 +100,40 @@ def test_converge_zero_mse_note(capsys):
     ["allocate", "--model", "gauss-log", "--T", "64", "--policies", " ; "],
     ["converge", "--model", "gauss-log", "--budgets", "16,64",
      "--policy", "tau:beta=1"],
+    ["converge", "--model", "gauss-log", "--budgets", "16,64",
+     "--policy", "tau:alpha=1,c=inf"],
+    ["converge", "--model", "gauss-log", "--budgets", "16,64",
+     "--policy", "tau:alpha=1e308,c=1"],
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--out", "{tmp}/missing/report.csv"],
+    ["--out", "{tmp}"],
+    ["--workers", "0"],
+    ["--workers", "-3"],
+])
+def test_run_faults_exit_2_before_computing(capsys, monkeypatch, tmp_path, extra):
+    def never(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    for runner in ("run_convergence", "run_collapsed_convergence", "run_bias",
+                   "compare_policies"):
+        monkeypatch.setattr(cli, runner, never)
+    extra = [x.replace("{tmp}", str(tmp_path)) for x in extra]
+    code, out, err = run_cli(capsys, _SEED_ARGS + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    # The directory exists, but the file name is longer than any file system takes.
+    code, _, err = run_cli(capsys, _SEED_ARGS + ["--out", str(tmp_path / ("x" * 300))])
+    assert code == 2 and err.startswith("error: cannot write")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from nestmc.estimators import (collapsed_estimate, inner_estimate, mc_estimate,
-                               nmc_estimate, nmc_estimate_depth)
+from nestmc.estimators import (_REP_BLOCK, collapsed_estimate, inner_estimate,
+                               mc_estimate, nmc_block_reps, nmc_estimate,
+                               nmc_estimate_depth, nmc_replications)
 from nestmc.models import CATALOG, make_constant, make_gauss_log
 from nestmc.problem import ProblemTree
 from nestmc.rng import make_root, next_gaussian, next_uniform, split
@@ -16,6 +17,19 @@ from nestmc.rng import make_root, next_gaussian, next_uniform, split
 def _scalar_variant(p):
     """Same model with the vectorized samplers removed (forces per-draw path)."""
     return dataclasses.replace(p, outer_batch=None, inner_batch=None)
+
+
+def _signed_log():
+    """f = log of a signed inner mean: some outer terms land negative.
+
+    The inner mean ~ N(0, 1/M) has a coin-flip sign, so a share of the
+    terms is degenerate.
+    """
+    return dataclasses.replace(
+        CATALOG["gauss-log"](),
+        phi=lambda y, z: z,
+        f=lambda y, w: np.log(w),
+        gamma_exact=None, truth=None, inner_quad=None)
 
 
 # ---------------------------------------------------------------- mc_estimate
@@ -137,14 +151,8 @@ def test_nmc_batch_path_matches_scalar_path(N, M):
 
 
 def test_nmc_degenerate_terms_excluded_and_counted():
-    # f = log of a signed inner mean: some outer terms land negative.
-    base = CATALOG["gauss-log"]()
-    p = dataclasses.replace(
-        _scalar_variant(base),
-        inner_sampler=lambda s, y: next_gaussian(s),
-        phi=lambda y, z: z,          # inner mean ~ N(0, 1/M): sign is a coin flip
-        f=lambda y, w: np.log(w),
-        gamma_exact=None, truth=None, inner_quad=None)
+    p = dataclasses.replace(_scalar_variant(_signed_log()),
+                            inner_sampler=lambda s, y: next_gaussian(s))
     e = nmc_estimate(p, 200, 4, make_root(0))
     assert 0 < e.degenerate_count < 200
     assert e.valid and np.isfinite(e.value)
@@ -153,6 +161,57 @@ def test_nmc_degenerate_terms_excluded_and_counted():
     e = nmc_estimate(bad, 8, 2, make_root(0))
     assert e.degenerate_count == 8 and not e.valid
     assert math.isnan(e.value)
+
+
+def _per_replication(p, N, M, row, lo, hi):
+    ests = [nmc_estimate(p, N, M, row.split(r)) for r in range(lo, hi)]
+    return ([e.value for e in ests], [e.degenerate_count / N for e in ests])
+
+
+@pytest.mark.parametrize("model,N,M,lo,hi", [
+    ("gauss-log", 1, 1, 0, 3),                # N*M = 1
+    ("gauss-log", 128, 128, 0, 3),            # N*M = block budget
+    ("linear-gauss", 16384, 1, 2, 4),
+    ("bias-quad-pos", 1, 16384, 1, 3),
+    ("gauss-log", 8, 8, 5, 5 + 2 * 256 + 7),  # span not a multiple of R_blk
+    ("constant", 7, 9, 3, 600),
+])
+def test_nmc_replications_match_nmc_estimate(model, N, M, lo, hi):
+    p = CATALOG[model]()
+    row = make_root(23).split(2)
+    values, degf = nmc_replications(p, N, M, row, lo, hi)
+    want_values, want_degf = _per_replication(p, N, M, row, lo, hi)
+    assert values.tolist() == want_values
+    assert degf.tolist() == want_degf
+    # The per-draw path of a model without batch samplers agrees too.
+    if N * M <= 1024:
+        scalar = _per_replication(_scalar_variant(p), N, M, row, lo, lo + 3)[0]
+        assert values[:3].tolist() == scalar
+
+
+def test_nmc_replications_some_degenerate():
+    p = _signed_log()
+    row = make_root(3)
+    values, degf = nmc_replications(p, 2, 4, row, 1, 400)
+    want_values, want_degf = _per_replication(p, 2, 4, row, 1, 400)
+    assert set(degf.tolist()) == {0.0, 0.5, 1.0}
+    assert degf.tolist() == want_degf
+    assert np.isnan(values).tolist() == [d == 1.0 for d in want_degf]
+    assert values[degf < 1].tolist() == [v for v, d in zip(want_values, want_degf) if d < 1]
+
+
+def test_nmc_block_reps_selects_by_size_and_samplers():
+    p = make_gauss_log()
+    assert nmc_block_reps(p, 1, 1) == _REP_BLOCK
+    assert nmc_block_reps(p, 128, 128) == 1 == _REP_BLOCK // (128 * 128)
+    assert nmc_block_reps(p, 113, 145) == 0           # N*M = block budget + 1
+    assert nmc_block_reps(_scalar_variant(p), 4, 4) == 0
+    with pytest.raises(ValueError):
+        nmc_replications(p, 113, 145, make_root(0), 0, 2)
+    with pytest.raises(ValueError):
+        nmc_replications(_scalar_variant(p), 4, 4, make_root(0), 0, 2)
+    with pytest.raises(ValueError):
+        nmc_replications(p, 0, 4, make_root(0), 0, 2)
 
 
 def test_nmc_unbiased_under_linearity():

@@ -1,0 +1,81 @@
+"""Report bytes pinned against committed golden files.
+
+Each case is one fixed command line whose report must equal its file under
+``tests/golden/`` byte for byte.  The grids are chosen to cross the code
+paths that must not change a value: N*M = 1, rows on both sides of the
+replication block budget (2**14 elements) and of the within-row chunk
+(2**16 inner draws), rep schedules, CRN races and a two-worker run.
+
+Regenerate the files only for a deliberate stream change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from nestmc.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    # tau:alpha=1 splits: 2x2, 64x64, 128x128 (= 2**14), 130x130, 256x256.
+    "converge-straddle.csv": [
+        "converge", "--model", "gauss-log", "--budgets", "4,4096,16384,16900,65536",
+        "--reps", "6", "--rep-schedule", "65536:3", "--seed", "3"],
+    # N*M = 1 rows, a replication count that is not a power of two.
+    "converge-fixed-inner.json": [
+        "converge", "--model", "bias-quad-pos", "--policy", "fixed-inner:M=1",
+        "--budgets", "1,2,7", "--reps", "11", "--drop-smallest", "1",
+        "--seed", "5", "--format", "json"],
+    # M = 20000 and 70000 at N = 3: one row above the block budget and one
+    # above the within-row chunk; two worker threads.
+    "converge-workers2.json": [
+        "converge", "--model", "gauss-log", "--policy", "fixed-outer:N=3",
+        "--budgets", "12,60000,210000", "--reps", "5", "--seed", "8",
+        "--format", "json", "--workers", "2"],
+    "bias.csv": [
+        "bias", "--model", "bias-quad-pos", "--N", "40", "--Ms", "1:64:4",
+        "--reps", "8", "--seed", "2"],
+    "bias.json": [
+        "bias", "--model", "gauss-log", "--N", "20", "--Ms", "2,1000",
+        "--reps", "5", "--seed", "4", "--format", "json"],
+    "allocate.csv": [
+        "allocate", "--model", "gauss-log", "--T", "4096", "--reps", "10",
+        "--seed", "1", "--policies",
+        "tau:alpha=0.5,c=1;tau:alpha=1,c=1;fixed-inner:M=4"],
+    # Every shape above the block budget at T = 40000.
+    "allocate.json": [
+        "allocate", "--model", "bias-quad-neg", "--T", "40000", "--reps", "4",
+        "--seed", "6", "--format", "json", "--policies",
+        "tau:alpha=1,c=1;fixed-outer:N=2"],
+    "collapse.csv": [
+        "collapse", "--model", "linear-gauss", "--budgets", "100,1000",
+        "--reps", "8", "--seed", "2"],
+    "collapse.json": [
+        "collapse", "--model", "linear-gauss", "--budgets", "16:20000:3",
+        "--reps", "4", "--seed", "0", "--format", "json"],
+}
+
+
+def _report(argv, path: Path) -> bytes:
+    code = main(argv + ["--out", str(path)])
+    assert code == 0, (argv, code)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_bytes_match_golden(name, tmp_path, capsys):
+    got = _report(CASES[name], tmp_path / name)
+    capsys.readouterr()
+    assert got == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code = main(argv + ["--out", str(GOLDEN / name)])
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nestmc.allocation import FixedInner, TauPower
+from nestmc.allocation import FixedInner, FixedOuter, TauPower
 from nestmc.estimators import nmc_estimate
 from nestmc.harness import (compare_policies, fit_loglog_slope, run_bias,
                             run_collapsed_convergence, run_convergence,
@@ -100,6 +100,19 @@ def test_convergence_row_streams_are_positional():
     expected = np.mean([nmc_estimate(p, 8, 8, s.split(1).split(r)).value
                         for r in range(2)])
     assert rep.rows[1].mean == pytest.approx(expected, rel=1e-15)
+
+
+# N*M below, at and one above the replication block budget (2**14).
+@pytest.mark.parametrize("N,M", [(8, 8), (128, 128), (113, 145)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_replications_equal_nmc_estimate_across_block_budget(N, M, workers):
+    p = CATALOG["gauss-log"]()
+    s = make_root(3)
+    rep = run_convergence(p, FixedOuter(N), [N, N * M], 3, s, workers=workers)
+    assert (rep.rows[1].N, rep.rows[1].M) == (N, M)
+    expected = np.mean([nmc_estimate(p, N, M, s.split(1).split(r)).value
+                        for r in range(3)])
+    assert rep.rows[1].mean == expected
 
 
 def test_convergence_worker_count_is_invisible():
@@ -210,6 +223,21 @@ def test_compare_policies_ranking_and_crn():
     assert ranking.results[0].mse <= ranking.results[1].mse <= ranking.results[2].mse
     assert not ranking.tie
     assert ranking.T == 65536 and ranking.reps == 150
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_compare_policies_common_random_numbers(workers):
+    # Replication r of every policy replays nmc_estimate on split(s, r): a
+    # 128x128 shape inside the replication block budget, 2x8200 above it.
+    p = CATALOG["gauss-log"]()
+    s = make_root(6)
+    ranking = compare_policies(p, 16400, [TauPower(1, 1), FixedOuter(2)], 4, s,
+                               workers=workers)
+    assert sorted((r.N, r.M) for r in ranking.results) == [(2, 8200), (128, 128)]
+    for res in ranking.results:
+        errs = np.array([nmc_estimate(p, res.N, res.M, s.split(r)).value
+                         for r in range(4)]) - p.truth
+        assert res.mse == float(np.mean(errs ** 2))
 
 
 def test_compare_policies_tie_flag_on_constant():
