@@ -10,8 +10,8 @@ from .models import (CATALOG, MODEL_TAGS, make_gauss_log, make_bias_quadratic,
                      make_linear_gauss, make_constant, gamma_kernel_exact,
                      bias_quadratic_expected_value)
 from .estimators import (Estimate, mc_estimate, inner_estimate, nmc_estimate,
-                         nmc_block_reps, nmc_replications, nmc_estimate_depth,
-                         collapsed_estimate)
+                         nmc_replications, nmc_estimate_depth, collapsed_estimate,
+                         collapsed_replications)
 from .allocation import (AllocationPolicy, FixedInner, FixedOuter, TauPower,
                          tau, split_budget, budget_grid, parse_policy)
 from .harness import (SlopeFit, ConvergenceRow, ConvergenceReport, BiasRow,
@@ -29,7 +29,8 @@ __all__ = [
     "make_linear_gauss", "make_constant", "gamma_kernel_exact",
     "bias_quadratic_expected_value",
     "Estimate", "mc_estimate", "inner_estimate", "nmc_estimate",
-    "nmc_block_reps", "nmc_replications", "nmc_estimate_depth", "collapsed_estimate",
+    "nmc_replications", "nmc_estimate_depth", "collapsed_estimate",
+    "collapsed_replications",
     "AllocationPolicy", "FixedInner", "FixedOuter", "TauPower",
     "tau", "split_budget", "budget_grid", "parse_policy",
     "SlopeFit", "ConvergenceRow", "ConvergenceReport", "BiasRow", "BiasReport",

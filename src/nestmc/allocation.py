@@ -113,7 +113,7 @@ def split_budget(p: AllocationPolicy, T: int) -> Tuple[int, int]:
 
     For the power family, M is the largest inner count whose coupled spend
     tau(M)*M stays within T (monotone predicate, binary search, ties toward
-    larger M) and N = tau(M).  Fixed policies spend the remainder by integer
+    larger M) and N = tau(M); an M whose tau overflows a float overspends.  Fixed policies spend the remainder by integer
     division.  Raises ValueError when no (N, M) with both counts >= 1 fits.
     """
     if isinstance(p, FixedInner):
@@ -132,17 +132,24 @@ def split_budget(p: AllocationPolicy, T: int) -> Tuple[int, int]:
         return p.N0, M
     if T < 4:
         raise ValueError(f"power-family budgets need T >= 4, got {T}")
-    if tau(p, 1) > T:
+
+    def fits(M: int) -> bool:
+        try:
+            return tau(p, M) * M <= T
+        except ValueError:  # tau(M) overflows, so tau(M)*M exceeds any T
+            return False
+
+    if not fits(1):
         raise ValueError(f"budget T={T} infeasible for {p.name}")
     lo = 1  # feasible
     hi = 2
-    while tau(p, hi) * hi <= T:
+    while fits(hi):
         lo = hi
         hi *= 2
     # invariant: lo feasible, hi infeasible
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if tau(p, mid) * mid <= T:
+        if fits(mid):
             lo = mid
         else:
             hi = mid

@@ -5,16 +5,17 @@ same stream are bit-identical, and the per-draw stream layout (outer draw n
 on child <0,n>, inner block n on child <1,n>, inner draw m on grandchild m)
 makes results independent of evaluation order and worker count.
 
-Vectorized and per-draw scalar sampling paths produce bit-identical values:
-batched draws reproduce the scalar stream outputs exactly, and reductions
-use numpy's pairwise mean in both layouts.  The same holds across
-replications: ``nmc_replications`` evaluates a block of replications as one
-(R, N, M) array, reducing each replication's contiguous last axis exactly
-as ``nmc_estimate`` reduces its own.
+One block driver (``_replicate`` over ``_outer_terms``) draws every nested
+and collapsed estimate of a model with batch samplers, for one replication
+or a span of a row's.  Its blocks depend on (N, M) alone, and every mean
+runs over a contiguous last axis, so block grouping never changes a value.
+Models without batch samplers are drawn one scalar at a time (the nested
+estimator as a depth-2 ``ProblemTree``), with the same values bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -28,22 +29,21 @@ __all__ = [
     "mc_estimate",
     "inner_estimate",
     "nmc_estimate",
-    "nmc_block_reps",
     "nmc_replications",
     "nmc_estimate_depth",
     "collapsed_estimate",
+    "collapsed_replications",
 ]
 
-# Max elements materialized per sampling block, sized to stay cache-resident
-# (the draw pipeline makes many passes over each block).  Chunk boundaries
-# depend only on (N, M), never on worker count, so chunking cannot affect
-# determinism.
+# Max elements per sampling block and max inner draws per pairwise mean,
+# sized to stay cache-resident (the draw pipeline makes many passes over
+# each block).  Block edges depend only on (N, M), never on worker count,
+# so blocking cannot affect determinism.
 _CHUNK = 1 << 16
 
-# Max elements per replication block of nmc_replications, which draws
-# _REP_BLOCK // (N*M) replications as one (R, N, M) array.  Smaller than
-# _CHUNK to keep peak memory where the per-replication path had it; block
-# grouping never changes values.
+# Max elements per replication block: rows of N*M <= _REP_BLOCK draw
+# _REP_BLOCK // (N*M) replications at a time.  Smaller than _CHUNK to keep
+# peak memory low.
 _REP_BLOCK = 1 << 14
 
 
@@ -76,14 +76,26 @@ def _batched(p: NestedProblem) -> bool:
 
 
 def _finalize(fv: np.ndarray) -> tuple:
-    """Exclude-and-count reduction over the outer terms."""
-    mask = np.isfinite(fv)
-    degenerate = int(fv.size - np.count_nonzero(mask))
-    if degenerate == 0:
-        return float(np.mean(fv)), 0
-    if degenerate == fv.size:
-        return float("nan"), degenerate
-    return float(np.mean(fv[mask])), degenerate
+    """Exclude-and-count reduction of each row of outer terms (the last axis).
+
+    Returns (values, degenerate counts); an all-degenerate row has value NaN.
+    Sum over count is np.mean's own arithmetic, without its call overhead.
+    """
+    finite = np.isfinite(fv)
+    degenerate = fv.shape[-1] - np.add.reduce(finite, axis=-1)
+    values = np.add.reduce(fv, axis=-1) / fv.shape[-1]
+    for k in np.flatnonzero(degenerate):
+        values[k] = np.mean(fv[k][finite[k]]) if degenerate[k] < fv.shape[-1] else np.nan
+    return values, degenerate
+
+
+def _estimate(fv: np.ndarray, s: RngStream, n_inner: int, total_draws: int,
+              depth_counts: Optional[tuple] = None) -> Estimate:
+    """Estimate from one replication's outer terms, reduced by _finalize."""
+    values, degenerate = _finalize(fv[None])
+    return Estimate(value=float(values[0]), n_outer=fv.size, n_inner=n_inner,
+                    total_draws=total_draws, seed_path=s.path,
+                    degenerate_count=int(degenerate[0]), depth_counts=depth_counts)
 
 
 def mc_estimate(sampler: Callable, integrand: Callable, N: int, s: RngStream,
@@ -96,15 +108,10 @@ def mc_estimate(sampler: Callable, integrand: Callable, N: int, s: RngStream,
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    vals = np.empty(N, dtype=float)
     if sampler_batch is not None:
-        for lo in range(0, N, _CHUNK):
-            hi = min(lo + _CHUNK, N)
-            y = sampler_batch(s.split_many(np.arange(lo, hi, dtype=np.uint64)))
-            vals[lo:hi] = integrand(y)
+        vals = _outer_terms(lambda b, idx: integrand(sampler_batch(b.split_many(idx))), s, N, 1)
     else:
-        for n in range(N):
-            vals[n] = integrand(sampler(split(s, n)))
+        vals = np.array([integrand(sampler(split(s, n))) for n in range(N)], dtype=float)
     return Estimate(
         value=float(np.mean(vals)),
         n_outer=N,
@@ -115,17 +122,18 @@ def mc_estimate(sampler: Callable, integrand: Callable, N: int, s: RngStream,
     )
 
 
-def _chunked_mean(values_for: Callable, count: int) -> float:
-    """Mean of `count` values produced range-wise by values_for(lo, hi).
+def _chunked_mean(values_for: Callable, count: int):
+    """Mean over the last axis of `count` values produced range-wise by values_for(lo, hi).
 
-    A single pairwise np.mean when everything fits in one chunk; otherwise
-    chunk sums combined once and divided.  Chunk edges depend only on count.
+    One pairwise sum over count, as np.mean takes it, when everything fits
+    in one chunk; otherwise chunk sums combined once and divided.  Chunk
+    edges depend only on count.
     """
     if count <= _CHUNK:
-        return float(np.mean(values_for(0, count)))
-    parts = [np.add.reduce(values_for(lo, min(lo + _CHUNK, count)))
+        return np.add.reduce(values_for(0, count), axis=-1) / count
+    parts = [np.add.reduce(values_for(lo, min(lo + _CHUNK, count)), axis=-1)
              for lo in range(0, count, _CHUNK)]
-    return float(np.add.reduce(np.array(parts)) / count)
+    return np.add.reduce(np.stack(parts, axis=-1), axis=-1) / count
 
 
 def inner_estimate(p: NestedProblem, y, M: int, s: RngStream) -> float:
@@ -140,42 +148,50 @@ def inner_estimate(p: NestedProblem, y, M: int, s: RngStream) -> float:
         def values_for(lo, hi):
             return np.array([p.phi(y, p.inner_sampler(split(s, m), y))
                              for m in range(lo, hi)], dtype=float)
-    return _chunked_mean(values_for, M)
+    return float(_chunked_mean(values_for, M))
 
 
-def _block_terms(p: NestedProblem, outer, inner, idx: np.ndarray,
-                 mhash: np.ndarray) -> np.ndarray:
-    """Outer terms f(y_n, inner mean) for the outer draws `idx` of every stream.
+def _outer_terms(terms: Callable, reps, N: int, M: int) -> np.ndarray:
+    """The N outer terms of every replication in `reps`, on the last axis.
 
-    `outer` and `inner` are a replication's <0> and <1> children, as an
-    RngStream or as a StreamBatch of them; the result has their shape plus
-    idx's.  The inner mean reduces the contiguous last axis of length M.
+    `reps` is one replication's stream (an RngStream) or a StreamBatch of
+    them, and terms(reps, idx) gives the terms of outer draws `idx` of each.
+    Outer draws go max(1, _CHUNK // M) at a time.
     """
-    y = p.outer_batch(outer.split_many(idx))
-    z = p.inner_batch(inner.split_many(idx).split_hashed(mhash), y[..., None])
-    return p.f(y, np.mean(p.phi(y[..., None], z), axis=-1))
-
-
-def _nmc_terms(p: NestedProblem, N: int, M: int, s: RngStream) -> np.ndarray:
-    """The N outer terms f(y_n, inner mean) of the nested estimator."""
-    s_outer = split(s, 0)
-    s_inner = split(s, 1)
-    fv = np.empty(N, dtype=float)
-    rows = _CHUNK // M
+    step = max(1, _CHUNK // M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if _batched(p) and rows > 1:
-            mhash = index_hash(np.arange(M, dtype=np.uint64))
-            for lo in range(0, N, rows):
-                idx = np.arange(lo, min(lo + rows, N), dtype=np.uint64)
-                fv[lo:lo + idx.size] = _block_terms(p, s_outer, s_inner, idx, mhash)
-        else:
-            # No batch samplers, or M too large to batch across rows: one
-            # inner estimate per outer draw, vectorized within the row if it can be.
-            for n in range(N):
-                y = p.outer_sampler(split(s_outer, n))
-                gam = inner_estimate(p, y, M, split(s_inner, n))
-                fv[n] = p.f(y, gam)
-    return fv
+        return np.concatenate([terms(reps, np.arange(lo, min(lo + step, N), dtype=np.uint64))
+                               for lo in range(0, N, step)], axis=-1)
+
+
+def _replicate(terms: Callable, N: int, M: int, row: RngStream, lo: int, hi: int) -> tuple:
+    """(values, degenerate fractions) of replications lo..hi-1 on row.split(r).
+
+    Replications are drawn max(1, _REP_BLOCK // (N*M)) at a time.
+    """
+    step = max(1, _REP_BLOCK // (N * M))
+    values = np.empty(hi - lo)
+    degenerate = np.empty(hi - lo)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        reps = row.split_many(np.arange(a, b, dtype=np.uint64))
+        values[a - lo:b - lo], degenerate[a - lo:b - lo] = _finalize(
+            _outer_terms(terms, reps, N, M))
+    return values, degenerate / N
+
+
+def _nested_terms(p: NestedProblem, M: int) -> Callable:
+    """Nested-estimator terms f(y_n, inner mean of M draws) for _outer_terms."""
+    mhash = index_hash(np.arange(M, dtype=np.uint64))
+
+    def terms(reps, idx):
+        y = p.outer_batch(reps.split(0).split_many(idx))
+        yb = y[..., None]
+        inner = reps.split(1).split_many(idx)
+        w = _chunked_mean(
+            lambda lo, hi: p.phi(yb, p.inner_batch(inner.split_hashed(mhash[lo:hi]), yb)), M)
+        return p.f(y, w)
+    return terms
 
 
 def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
@@ -184,35 +200,14 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     Outer draw n comes from child stream <0,n>, its inner block from <1,n>
     with one grandchild per inner draw, so terms are independent and the
     result does not depend on evaluation order.  Non-finite f outputs are
-    excluded from the average and reported in ``degenerate_count``.
+    excluded from the average and reported in ``degenerate_count``.  A model
+    without batch samplers is estimated draw by draw as a depth-2 tree.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    value, degenerate = _finalize(_nmc_terms(p, N, M, s))
-    return Estimate(
-        value=value,
-        n_outer=N,
-        n_inner=M,
-        total_draws=N * M,
-        seed_path=s.path,
-        degenerate_count=degenerate,
-        depth_counts=(N, M),
-    )
-
-
-def nmc_block_reps(p: NestedProblem, N: int, M: int) -> int:
-    """Replications that nmc_replications draws per block for an N x M row.
-
-    The count depends only on (N, M).  It is 0 when the row is not batched
-    across replications: N*M above the block budget, or a model without
-    batch samplers.  Such rows go replication by replication through
-    nmc_estimate.
-    """
-    if not _batched(p) or N * M > _REP_BLOCK:
-        return 0
-    return _REP_BLOCK // (N * M)
+    if N < 1 or M < 1:
+        raise ValueError(f"N and M must be >= 1, got {N}, {M}")
+    if not _batched(p):
+        return nmc_estimate_depth(ProblemTree.from_problem(p), (N, M), s)
+    return _estimate(_outer_terms(_nested_terms(p, M), s, N, M), s, M, N * M, (N, M))
 
 
 def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
@@ -221,31 +216,14 @@ def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
 
     Returns (values, degenerate_fracs), two float arrays of length hi - lo.
     Entry r - lo equals nmc_estimate(p, N, M, row.split(r)).value and its
-    degenerate_count / N bit for bit, whatever the span.  Replications are
-    drawn nmc_block_reps(p, N, M) at a time; rows that this returns 0 for
-    are rejected.
+    degenerate_count / N bit for bit, whatever the span.  The model needs
+    batch samplers.
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
-    R_blk = nmc_block_reps(p, N, M)
-    if R_blk == 0:
-        raise ValueError(f"an {N}x{M} row of {p.name!r} is not batched across replications")
-    values = np.empty(hi - lo, dtype=np.float64)
-    degenerate = np.empty(hi - lo, dtype=np.int64)
-    idx = np.arange(N, dtype=np.uint64)
-    mhash = index_hash(np.arange(M, dtype=np.uint64))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a in range(lo, hi, R_blk):
-            b = min(a + R_blk, hi)
-            reps = row.split_many(np.arange(a, b, dtype=np.uint64))
-            fv = _block_terms(p, reps.split(0), reps.split(1), idx, mhash)
-            part = slice(a - lo, b - lo)
-            values[part] = np.mean(fv, axis=-1)
-            degenerate[part] = N - np.count_nonzero(np.isfinite(fv), axis=-1)
-            # Replications with excluded terms take nmc_estimate's own reduction.
-            for k in np.flatnonzero(degenerate[part]):
-                values[a - lo + k] = _finalize(fv[k])[0]
-    return values, degenerate / N
+    if not _batched(p):
+        raise ValueError(f"model {p.name!r} has no batch samplers")
+    return _replicate(_nested_terms(p, M), N, M, row, lo, hi)
 
 
 def _tree_level(t: ProblemTree, counts: Sequence[int], s: RngStream,
@@ -264,7 +242,7 @@ def _tree_level(t: ProblemTree, counts: Sequence[int], s: RngStream,
             x = t.sampler(split(s_draw, n), ancestors)
             child_terms = _tree_level(t.child, counts[1:], split(s_block, n),
                                       ancestors + (x,))
-            w = _chunked_mean(lambda lo, hi: child_terms[lo:hi], counts[1])
+            w = float(_chunked_mean(lambda lo, hi: child_terms[lo:hi], counts[1]))
             out[n] = t.integrand(ancestors, x, w)
     return out
 
@@ -283,22 +261,33 @@ def nmc_estimate_depth(t: ProblemTree, counts: Sequence[int], s: RngStream) -> E
     if any(c < 1 for c in counts):
         raise ValueError(f"all counts must be >= 1, got {counts}")
     terms = _tree_level(t, counts, s, ())
-    if t.depth == 1:
-        value, degenerate = _chunked_mean(lambda lo, hi: terms[lo:hi], counts[0]), 0
-    else:
-        value, degenerate = _finalize(terms)
-    total = 1
-    for c in counts:
-        total *= c
+    total = math.prod(counts)
+    if t.depth > 1:
+        return _estimate(terms, s, counts[1], total, counts)
     return Estimate(
-        value=value,
+        value=float(_chunked_mean(lambda lo, hi: terms[lo:hi], counts[0])),
         n_outer=counts[0],
-        n_inner=counts[1] if len(counts) > 1 else 0,
+        n_inner=0,
         total_draws=total,
         seed_path=s.path,
-        degenerate_count=degenerate,
         depth_counts=counts,
     )
+
+
+def _collapsed_terms(p: NestedProblem) -> Callable:
+    """Outer terms f(y_n, phi(y_n, z_n)), y_n and z_n drawn in order from child n."""
+    def terms(reps, idx):
+        b = reps.split_many(idx)
+        y = p.outer_batch(b)
+        return p.f(y, p.phi(y, p.inner_batch(b, y)))
+    return terms
+
+
+def _check_collapse(p: NestedProblem, N: int) -> None:
+    if p.linear_g is None:
+        raise ValueError(f"model {p.name!r} has no linear_g; collapse requires linear f")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
 
 
 def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
@@ -309,31 +298,29 @@ def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
     the plain MC rate.  One inner draw per outer draw, both taken in order
     from child stream n; total_draws = N.
     """
-    if p.linear_g is None:
-        raise ValueError(f"model {p.name!r} has no linear_g; collapse requires linear f")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    fv = np.empty(N, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if _batched(p):
-            for lo in range(0, N, _CHUNK):
-                hi = min(lo + _CHUNK, N)
-                b = s.split_many(np.arange(lo, hi, dtype=np.uint64))
-                y = p.outer_batch(b)
-                z = p.inner_batch(b, y)
-                fv[lo:hi] = p.f(y, p.phi(y, z))
-        else:
+    _check_collapse(p, N)
+    if _batched(p):
+        fv = _outer_terms(_collapsed_terms(p), s, N, 1)
+    else:
+        fv = np.empty(N, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for n in range(N):
                 sn = split(s, n)
                 y = p.outer_sampler(sn)
                 z = p.inner_sampler(sn, y)
                 fv[n] = p.f(y, p.phi(y, z))
-    value, degenerate = _finalize(fv)
-    return Estimate(
-        value=value,
-        n_outer=N,
-        n_inner=1,
-        total_draws=N,
-        seed_path=s.path,
-        degenerate_count=degenerate,
-    )
+    return _estimate(fv, s, 1, N)
+
+
+def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
+                           lo: int, hi: int) -> tuple:
+    """Replications lo..hi-1 of the collapsed estimator on the children of `row`.
+
+    Returns (values, degenerate_fracs) equal bit for bit to
+    collapsed_estimate(p, N, row.split(r)), as nmc_replications does for
+    the nested estimator.  The model needs batch samplers.
+    """
+    _check_collapse(p, N)
+    if not _batched(p):
+        raise ValueError(f"model {p.name!r} has no batch samplers")
+    return _replicate(_collapsed_terms(p), N, 1, row, lo, hi)

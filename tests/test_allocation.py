@@ -44,6 +44,8 @@ def test_split_budget_pinned_examples():
     assert split_budget(TauPower(0.5, 1), 65536) == (40, 1600)
     assert split_budget(TauPower(2, 1), 65536) == (1600, 40)
     assert split_budget(FixedOuter(100), 65536) == (100, 655)
+    # tau(M) overflows a float for M >= 2, which overspends any T: M = 1.
+    assert split_budget(TauPower(1e308, 1), 16) == (1, 1)
 
 
 def test_split_budget_faults():

@@ -1,5 +1,6 @@
 """Command-line behavior: schemas, exit codes, seeds, output identity."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -7,8 +8,11 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nestmc import cli
+from nestmc.allocation import TauPower, split_budget
 from nestmc.cli import RunConfig, _cell, main
 from nestmc.models import CATALOG
 
@@ -102,13 +106,22 @@ def test_converge_zero_mse_note(capsys):
      "--policy", "tau:beta=1"],
     ["converge", "--model", "gauss-log", "--budgets", "16,64",
      "--policy", "tau:alpha=1,c=inf"],
-    ["converge", "--model", "gauss-log", "--budgets", "16,64",
-     "--policy", "tau:alpha=1e308,c=1"],
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_overflowing_tau_policy_splits_one_by_one(capsys):
+    # tau(M) = M**1e308 overflows a float for every M >= 2, so only M = 1 fits.
+    assert split_budget(TauPower(1e308, 1), 16) == (1, 1)
+    code, out, _ = run_cli(capsys, ["converge", "--model", "gauss-log", "--budgets", "16,64",
+                                    "--policy", "tau:alpha=1e308,c=1", "--reps", "3",
+                                    "--seed", "0"])
+    assert code == 0
+    _, rows, _ = parse_csv(out)
+    assert [(r[1], r[2]) for r in rows] == [("1", "1"), ("1", "1")]
 
 
 @pytest.mark.parametrize("extra", [
@@ -385,3 +398,55 @@ def test_cell_rendering():
     assert _cell(float("inf")) == "degenerate"
     assert _cell(0.125) == "0.125"
     assert _cell(7) == "7"
+
+
+# ------------------------------------------------------------------------ fuzz
+
+# Each choice is valid about half the time, so runs get past the checks too.
+_FIELDS = st.sampled_from(["1", "0.5", "2"]) | st.sampled_from(
+    ["0", "-1", "inf", "nan", "1e308", "x"])
+_POLICY = st.one_of(
+    st.builds("tau:alpha={},c={}".format, _FIELDS, _FIELDS),
+    st.builds("fixed-inner:M={}".format, _FIELDS),
+    st.builds("fixed-outer:N={}".format, _FIELDS),
+    st.sampled_from(["", "tau:beta=1", "spin:k=1"]),
+)
+# Comma lists and geometric grids, every budget at most 4096.
+_BUDGETS = st.one_of(
+    st.lists(st.integers(-2, 4096), min_size=1, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))),
+    st.builds("{}:{}:{}".format, st.integers(-2, 4096), st.integers(-2, 4096),
+              st.integers(0, 4)),
+)
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(["converge", "bias", "allocate", "collapse", "models",
+                                "frobnicate"]))
+    if sub == "models":
+        return [sub] + draw(st.sampled_from([[], ["list"], ["all"]]))
+    argv = [sub, "--model", draw(st.sampled_from(sorted(CATALOG) + ["no-such-model"]))]
+    if sub == "converge":
+        argv += ["--budgets", draw(_BUDGETS), "--policy", draw(_POLICY)]
+    elif sub == "bias":
+        argv += ["--N", str(draw(st.integers(-1, 16))), "--Ms", draw(_BUDGETS)]
+    elif sub == "allocate":
+        policies = draw(st.lists(_POLICY, min_size=1, max_size=3))
+        argv += ["--T", str(draw(st.integers(-2, 4096))), "--policies", ";".join(policies)]
+    elif sub == "collapse":
+        argv += ["--budgets", draw(_BUDGETS)]
+    return argv + ["--reps", str(draw(st.sampled_from([2, 3, 4, -1, 0, 1]))),
+                   "--workers", str(draw(st.sampled_from([1, 2, 3, 0]))),
+                   "--format", draw(st.sampled_from(["csv", "json"])),
+                   "--seed", str(draw(st.integers(0, 3)))]
+
+
+# The autouse fixture only unsets NESTMC_SEED, which no example sets.
+@given(argv=_argv())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_main_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3), argv

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from nestmc.estimators import (_REP_BLOCK, collapsed_estimate, inner_estimate,
-                               mc_estimate, nmc_block_reps, nmc_estimate,
+from nestmc.estimators import (collapsed_estimate, collapsed_replications,
+                               inner_estimate, mc_estimate, nmc_estimate,
                                nmc_estimate_depth, nmc_replications)
 from nestmc.models import CATALOG, make_constant, make_gauss_log
 from nestmc.problem import ProblemTree
@@ -131,6 +131,10 @@ def test_nmc_rejects_bad_counts():
         nmc_estimate(p, 0, 5, make_root(0))
     with pytest.raises(ValueError):
         nmc_estimate(p, 5, 0, make_root(0))
+    with pytest.raises(ValueError):
+        nmc_replications(p, 0, 4, make_root(0), 0, 2)
+    with pytest.raises(ValueError):  # replication blocks need batch samplers
+        nmc_replications(_scalar_variant(p), 4, 4, make_root(0), 0, 2)
 
 
 def test_nmc_repeated_calls_bit_identical():
@@ -140,7 +144,7 @@ def test_nmc_repeated_calls_bit_identical():
 
 
 @pytest.mark.parametrize("N,M", [(1, 1), (1, 9), (9, 1), (7, 70), (111, 3),
-                                 (5, 70000)])
+                                 (2, 70000)])
 def test_nmc_batch_path_matches_scalar_path(N, M):
     p = CATALOG["linear-gauss"]()
     q = _scalar_variant(p)
@@ -171,6 +175,8 @@ def _per_replication(p, N, M, row, lo, hi):
 @pytest.mark.parametrize("model,N,M,lo,hi", [
     ("gauss-log", 1, 1, 0, 3),                # N*M = 1
     ("gauss-log", 128, 128, 0, 3),            # N*M = block budget
+    ("gauss-log", 113, 145, 0, 2),            # one over: one replication per block
+    ("gauss-log", 2, 70000, 0, 2),            # inner draws past one chunk
     ("linear-gauss", 16384, 1, 2, 4),
     ("bias-quad-pos", 1, 16384, 1, 3),
     ("gauss-log", 8, 8, 5, 5 + 2 * 256 + 7),  # span not a multiple of R_blk
@@ -198,20 +204,6 @@ def test_nmc_replications_some_degenerate():
     assert degf.tolist() == want_degf
     assert np.isnan(values).tolist() == [d == 1.0 for d in want_degf]
     assert values[degf < 1].tolist() == [v for v, d in zip(want_values, want_degf) if d < 1]
-
-
-def test_nmc_block_reps_selects_by_size_and_samplers():
-    p = make_gauss_log()
-    assert nmc_block_reps(p, 1, 1) == _REP_BLOCK
-    assert nmc_block_reps(p, 128, 128) == 1 == _REP_BLOCK // (128 * 128)
-    assert nmc_block_reps(p, 113, 145) == 0           # N*M = block budget + 1
-    assert nmc_block_reps(_scalar_variant(p), 4, 4) == 0
-    with pytest.raises(ValueError):
-        nmc_replications(p, 113, 145, make_root(0), 0, 2)
-    with pytest.raises(ValueError):
-        nmc_replications(_scalar_variant(p), 4, 4, make_root(0), 0, 2)
-    with pytest.raises(ValueError):
-        nmc_replications(p, 0, 4, make_root(0), 0, 2)
 
 
 def test_nmc_unbiased_under_linearity():
@@ -266,7 +258,8 @@ def test_depth_one_tree_matches_mc():
 
 @pytest.mark.parametrize("N,M", [(1, 1), (6, 4), (40, 25)])
 def test_depth_two_tree_bit_identical_to_nmc(N, M):
-    p = _scalar_variant(make_gauss_log())
+    # The tree draws one scalar at a time; nmc_estimate takes the batched path.
+    p = make_gauss_log()
     t = ProblemTree.from_problem(p)
     s = make_root(27)
     a = nmc_estimate_depth(t, (N, M), s)
@@ -325,6 +318,24 @@ def test_collapsed_batch_matches_scalar():
     s = make_root(15)
     for N in (1, 2, 100, 1000):
         assert collapsed_estimate(p, N, s) == collapsed_estimate(q, N, s)
+
+
+@pytest.mark.parametrize("model,N,lo,hi", [
+    ("linear-gauss", 1, 0, 3),
+    ("linear-gauss", 7, 4, 4 + 2 * 2340 + 5),   # span not a multiple of R_blk
+    ("linear-gauss", 16385, 0, 2),              # one replication per block
+    ("linear-gauss", 70000, 1, 2),              # outer draws past one chunk
+    ("constant", 9, 0, 40),
+])
+def test_collapsed_replications_match_collapsed_estimate(model, N, lo, hi):
+    p = CATALOG[model]()
+    row = make_root(29).split(1)
+    values, degf = collapsed_replications(p, N, row, lo, hi)
+    ests = [collapsed_estimate(p, N, row.split(r)) for r in range(lo, hi)]
+    assert values.tolist() == [e.value for e in ests]
+    assert degf.tolist() == [e.degenerate_count / N for e in ests]
+    with pytest.raises(ValueError):
+        collapsed_replications(_scalar_variant(p), N, row, lo, hi)
 
 
 def test_collapsed_replication_mean_hits_truth():

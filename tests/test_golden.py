@@ -1,10 +1,12 @@
 """Report bytes pinned against committed golden files.
 
 Each case is one fixed command line whose report must equal its file under
-``tests/golden/`` byte for byte.  The grids are chosen to cross the code
-paths that must not change a value: N*M = 1, rows on both sides of the
-replication block budget (2**14 elements) and of the within-row chunk
-(2**16 inner draws), rep schedules, CRN races and a two-worker run.
+``tests/golden/`` byte for byte.  The grids are chosen to cross every block
+shape of the sampling kernel, which must not change a value: N*M = 1, rows
+on both sides of the replication block budget (2**14 elements), a row of
+one outer draw per block whose M inner draws take one pairwise mean
+(2**15 < M <= 2**16), rows past the inner chunk (M > 2**16), rep schedules,
+CRN races, collapsed sweeps and a two-worker run.
 
 Regenerate the files only for a deliberate stream change:
 
@@ -36,6 +38,11 @@ CASES = {
         "converge", "--model", "gauss-log", "--policy", "fixed-outer:N=3",
         "--budgets", "12,60000,210000", "--reps", "5", "--seed", "8",
         "--format", "json", "--workers", "2"],
+    # M = 40000 at N = 2: one outer draw per block, its inner draws in one
+    # pairwise mean.
+    "converge-inner-row.csv": [
+        "converge", "--model", "gauss-log", "--policy", "fixed-outer:N=2",
+        "--budgets", "2,80000", "--reps", "3", "--seed", "9"],
     "bias.csv": [
         "bias", "--model", "bias-quad-pos", "--N", "40", "--Ms", "1:64:4",
         "--reps", "8", "--seed", "2"],

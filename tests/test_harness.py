@@ -115,6 +115,27 @@ def test_row_replications_equal_nmc_estimate_across_block_budget(N, M, workers):
     assert rep.rows[1].mean == expected
 
 
+# A model without batch samplers goes one scalar estimate per replication.
+_RUNNERS = {
+    # 4x4 and 130x130: rows on both sides of the replication block budget.
+    "convergence": lambda p, s, w: run_convergence(p, TauPower(1, 1), [16, 16900], 2, s,
+                                                   workers=w),
+    "bias": lambda p, s, w: run_bias(p, 6, [2, 9], 3, s, workers=w),
+    "policies": lambda p, s, w: compare_policies(p, 400, [TauPower(1, 1), FixedOuter(2)], 3,
+                                                 s, workers=w),
+    "collapsed": lambda p, s, w: run_collapsed_convergence(p, [10, 300], 3, s, workers=w),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("runner", sorted(_RUNNERS))
+def test_reports_equal_without_batch_samplers(runner, workers):
+    p = CATALOG["linear-gauss"]()
+    scalar = dataclasses.replace(p, outer_batch=None, inner_batch=None)
+    run = _RUNNERS[runner]
+    assert run(scalar, make_root(4), workers) == run(p, make_root(4), workers)
+
+
 def test_convergence_worker_count_is_invisible():
     p = CATALOG["gauss-log"]()
     base = run_convergence(p, TauPower(1, 1), [16, 256, 1024], 25, make_root(9))
