@@ -9,6 +9,8 @@ One block driver (``_replicate`` over ``_outer_terms``) draws every nested
 and collapsed estimate of a model with batch samplers, for one replication
 or a span of a row's.  Its blocks depend on (N, M) alone, and every mean
 runs over a contiguous last axis, so block grouping never changes a value.
+Each span draws into one block-sized ``Workspace`` taken from an idle list,
+so the blocks of a span, and the spans after it, reuse the same buffers.
 Models without batch samplers are drawn one scalar at a time (the nested
 estimator as a depth-2 ``ProblemTree``), with the same values bit for bit.
 """
@@ -16,13 +18,14 @@ estimator as a depth-2 ``ProblemTree``), with the same values bit for bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .problem import NestedProblem, ProblemTree
-from .rng import RngStream, index_hash, split
+from .rng import RngStream, Workspace, index_hash, split
 
 __all__ = [
     "Estimate",
@@ -45,6 +48,24 @@ _CHUNK = 1 << 16
 # _REP_BLOCK // (N*M) replications at a time.  Smaller than _CHUNK to keep
 # peak memory low.
 _REP_BLOCK = 1 << 14
+
+# Idle workspaces of _CHUNK elements.  A span of the block driver takes one
+# and gives it back, so its buffers are faulted in once per process rather
+# than once per block.  A list rather than a threading.local, because the
+# harness makes a new thread pool per row; list.pop and append are atomic.
+_IDLE_WORKSPACES: list = []
+
+
+@contextmanager
+def _workspace():
+    try:
+        ws = _IDLE_WORKSPACES.pop()
+    except IndexError:
+        ws = Workspace(_CHUNK)
+    try:
+        yield ws
+    finally:
+        _IDLE_WORKSPACES.append(ws)
 
 
 @dataclass(frozen=True)
@@ -109,7 +130,7 @@ def mc_estimate(sampler: Callable, integrand: Callable, N: int, s: RngStream,
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if sampler_batch is not None:
-        vals = _outer_terms(lambda b, idx: integrand(sampler_batch(b.split_many(idx))), s, N, 1)
+        vals = _single(lambda b, idx: integrand(sampler_batch(b.split_many(idx))), s, N, 1)
     else:
         vals = np.array([integrand(sampler(split(s, n))) for n in range(N)], dtype=float)
     return Estimate(
@@ -154,9 +175,9 @@ def inner_estimate(p: NestedProblem, y, M: int, s: RngStream) -> float:
 def _outer_terms(terms: Callable, reps, N: int, M: int) -> np.ndarray:
     """The N outer terms of every replication in `reps`, on the last axis.
 
-    `reps` is one replication's stream (an RngStream) or a StreamBatch of
-    them, and terms(reps, idx) gives the terms of outer draws `idx` of each.
-    Outer draws go max(1, _CHUNK // M) at a time.
+    `reps` is a StreamBatch of replication streams (shape () for one), and
+    terms(reps, idx) gives the terms of outer draws `idx` of each.  Outer
+    draws go max(1, _CHUNK // M) at a time.
     """
     step = max(1, _CHUNK // M)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -172,12 +193,19 @@ def _replicate(terms: Callable, N: int, M: int, row: RngStream, lo: int, hi: int
     step = max(1, _REP_BLOCK // (N * M))
     values = np.empty(hi - lo)
     degenerate = np.empty(hi - lo)
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        reps = row.split_many(np.arange(a, b, dtype=np.uint64))
-        values[a - lo:b - lo], degenerate[a - lo:b - lo] = _finalize(
-            _outer_terms(terms, reps, N, M))
+    with _workspace() as ws:
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            reps = row.split_many(np.arange(a, b, dtype=np.uint64), ws)
+            values[a - lo:b - lo], degenerate[a - lo:b - lo] = _finalize(
+                _outer_terms(terms, reps, N, M))
     return values, degenerate / N
+
+
+def _single(terms: Callable, s: RngStream, N: int, M: int) -> np.ndarray:
+    """The N outer terms of the one replication on stream `s`."""
+    with _workspace() as ws:
+        return _outer_terms(terms, s.as_batch(ws), N, M)
 
 
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
@@ -207,7 +235,7 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
     if not _batched(p):
         return nmc_estimate_depth(ProblemTree.from_problem(p), (N, M), s)
-    return _estimate(_outer_terms(_nested_terms(p, M), s, N, M), s, M, N * M, (N, M))
+    return _estimate(_single(_nested_terms(p, M), s, N, M), s, M, N * M, (N, M))
 
 
 def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
@@ -300,7 +328,7 @@ def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
     """
     _check_collapse(p, N)
     if _batched(p):
-        fv = _outer_terms(_collapsed_terms(p), s, N, 1)
+        fv = _single(_collapsed_terms(p), s, N, 1)
     else:
         fv = np.empty(N, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

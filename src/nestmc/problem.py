@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import roots_hermite, roots_legendre
 
 from .rng import RngStream, make_root, split
 
@@ -215,13 +214,17 @@ def validate(p: NestedProblem) -> list:
     return report
 
 
+# scipy.special is imported by the quadrature oracle alone, so that the
+# estimators and the CLI start without it.
 @lru_cache(maxsize=8)
 def _hermite_nodes(n: int):
+    from scipy.special import roots_hermite
     return roots_hermite(n)
 
 
 @lru_cache(maxsize=8)
 def _legendre_nodes(n: int):
+    from scipy.special import roots_legendre
     return roots_legendre(n)
 
 

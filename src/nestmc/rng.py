@@ -15,15 +15,24 @@ transform on consecutive uniform pairs; the first output is returned and
 the second is produced on the following draw, so a pair always consumes
 exactly two uniforms.  Bit-exactness is promised within this
 implementation only, not across languages or libraries.
+
+A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
+into the buffers of a :class:`Workspace`, so a loop that draws block after
+block of the same size reuses the same memory instead of allocating (and,
+for large blocks, page-faulting) fresh arrays each time.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
 __all__ = [
     "RngStream",
     "StreamBatch",
+    "Workspace",
     "make_root",
     "split",
     "next_uniform",
@@ -43,6 +52,7 @@ _U_MIX_A = np.uint64(_MIX_A)
 _U_MIX_B = np.uint64(_MIX_B)
 _TO_UNIT = 2.0 ** -53
 _TWO_PI = 2.0 * np.pi
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def _mix_int(z: int) -> int:
@@ -53,13 +63,16 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_u64(z: np.ndarray) -> np.ndarray:
-    """Stafford mix13 on a uint64 array, in place; callers pass owned temps."""
-    z ^= z >> np.uint64(30)
+def _mix_u64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Stafford mix13 on a uint64 array, in place; `tmp` (z's shape) is scratch."""
+    np.right_shift(z, _S30, out=tmp)
+    z ^= tmp
     z *= _U_MIX_A
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
     z *= _U_MIX_B
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
     return z
 
 
@@ -73,14 +86,8 @@ def _child_key_int(key: int, index: int) -> int:
 
 def index_hash(indices) -> np.ndarray:
     """Pre-hashed split indices for reuse across many `split_hashed` calls."""
-    return _mix_u64(np.asarray(indices, dtype=np.uint64) + _U_GOLDEN)
-
-
-def _child_keys(key: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Vectorised child-key derivation; broadcasts key against indices."""
-    idx = np.asarray(indices, dtype=np.uint64)
-    k = key if isinstance(key, np.ndarray) else np.uint64(key)
-    return _mix_u64(k ^ _mix_u64(idx + _U_GOLDEN))
+    h = np.asarray(indices, dtype=np.uint64) + _U_GOLDEN
+    return _mix_u64(h, np.empty_like(h))
 
 
 def _raw_block(key: int, start: int, n: int) -> np.ndarray:
@@ -88,44 +95,71 @@ def _raw_block(key: int, start: int, n: int) -> np.ndarray:
     j = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     j *= _U_GOLDEN
     j += np.uint64(key)
-    return _mix_u64(j)
+    return _mix_u64(j, np.empty_like(j))
 
 
-def _raw_at(keys: np.ndarray, draw: int) -> np.ndarray:
-    """Raw 64-bit output number `draw` for each key in an array."""
-    step = np.uint64(((draw + 1) * _GOLDEN) & _MASK64)
-    return _mix_u64(keys + step)
+def _to_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top 53 bits -> float64 in [0, 1), written to `out`; shifts `bits` in place."""
+    bits >>= _S11
+    return np.multiply(bits, _TO_UNIT, out=out)
 
 
-def _to_unit(bits: np.ndarray) -> np.ndarray:
-    # top 53 bits -> float64 in [0, 1); consumes its (owned) argument
-    bits >>= np.uint64(11)
-    return bits * _TO_UNIT
+def _radius(u: np.ndarray) -> np.ndarray:
+    """Box-Muller radius sqrt(-2 log(1 - u)), in place; 1-u lies in (0, 1]."""
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u *= -2.0
+    return np.sqrt(u, out=u)
 
 
-def _gauss_first(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    # Box-Muller cosine branch; 1-u1 lies in (0, 1] so the radius is finite.
-    # Inputs are left untouched (the pair may be needed for the sine branch).
-    r = 1.0 - u1
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    t = u2 * _TWO_PI
-    np.cos(t, out=t)
-    t *= r
-    return t
+# References a pooled buffer has from the pool's own list, the scan's loop
+# variable and sys.getrefcount's argument: with no more, no array views it.
+def _idle_refs() -> int:
+    for buf in [np.empty(0)]:
+        return sys.getrefcount(buf)
 
 
-def _gauss_second(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    # Sine branch of the same pair; recomputes the radius bit-identically.
-    r = 1.0 - u1
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    t = u2 * _TWO_PI
-    np.sin(t, out=t)
-    t *= r
-    return t
+_IDLE_REFS = _idle_refs()
+# Buffers one workspace keeps at most, and the smallest request it serves
+# from them.  Smaller arrays are left to malloc, whose heap recycles them
+# without faults; pooling them would pin a whole buffer each.
+_POOL_MAX = 8
+_POOL_MIN = 1 << 12
+
+
+class Workspace:
+    """Reusable uint64 buffers of `size` elements for the arrays of batched draws.
+
+    `take` returns a view of a pooled buffer that no live array still views
+    (checked by reference count), so an array handed out stays its holder's
+    for as long as it is referenced, and a buffer is recycled as soon as the
+    last view of it is dropped.  A request larger than `size`, smaller than
+    `_POOL_MIN` elements or beyond `_POOL_MAX` live buffers is a plain
+    allocation.  A workspace must not be used by two threads at once.
+    """
+
+    __slots__ = ("size", "_pool")
+
+    def __init__(self, size: int):
+        self.size = size
+        self._pool: list = []
+
+    def take(self, shape: tuple, dtype=np.uint64) -> np.ndarray:
+        """An uninitialised array of `shape` (uint64 or float64) for the caller."""
+        n = math.prod(shape)
+        if _POOL_MIN <= n <= self.size:
+            for buf in self._pool:
+                if sys.getrefcount(buf) <= _IDLE_REFS:
+                    return buf[:n].view(dtype).reshape(shape)
+            if len(self._pool) < _POOL_MAX:
+                buf = np.empty(self.size, dtype=np.uint64)
+                self._pool.append(buf)
+                return buf[:n].view(dtype).reshape(shape)
+        return np.empty(shape, dtype=dtype)
+
+    def mix(self, z: np.ndarray) -> np.ndarray:
+        """`_mix_u64` of `z` in place, with scratch from this workspace."""
+        return _mix_u64(z, self.take(z.shape))
 
 
 class RngStream:
@@ -157,14 +191,17 @@ class RngStream:
         return RngStream(self.root_seed, self.path + (index,),
                          _key=_child_key_int(self._key, index))
 
-    def split_many(self, indices) -> "StreamBatch":
-        """Batch of child streams, one per entry of `indices`."""
-        idx = np.asarray(indices, dtype=np.uint64)
-        return StreamBatch(_child_keys(self._key, idx))
+    def as_batch(self, workspace: "Workspace | None" = None) -> "StreamBatch":
+        """This stream as a batch of shape (), drawing into `workspace`."""
+        return StreamBatch(np.array(self._key, dtype=np.uint64), workspace)
+
+    def split_many(self, indices, workspace: "Workspace | None" = None) -> "StreamBatch":
+        """Batch of child streams, one per entry of `indices`, drawing into `workspace`."""
+        return self.as_batch(workspace).split_many(indices)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next `n` uniform draws in [0, 1)."""
-        out = _to_unit(_raw_block(self._key, self._counter, n))
+        out = _to_unit(_raw_block(self._key, self._counter, n), np.empty(n))
         self._counter += n
         return out
 
@@ -179,10 +216,11 @@ class RngStream:
         pairs = (n - k + 1) // 2
         if pairs > 0:
             u = self.uniforms(2 * pairs)
-            u1, u2 = u[0::2], u[1::2]
-            inter = np.empty(2 * pairs)
-            inter[0::2] = _gauss_first(u1, u2)
-            inter[1::2] = _gauss_second(u1, u2)
+            r, t = _radius(u[0::2]), u[1::2] * _TWO_PI
+            inter = np.empty((pairs, 2))
+            np.multiply(np.cos(t), r, out=inter[:, 0])
+            np.multiply(np.sin(t), r, out=inter[:, 1])
+            inter = inter.reshape(-1)
             take = n - k
             out[k:] = inter[:take]
             if take < 2 * pairs:
@@ -204,49 +242,70 @@ class StreamBatch:
     per stream.  Used by the vectorised sampler paths.  The second
     Box-Muller output is computed lazily, so batches that take a single
     normal per stream never pay for the sine branch.
+
+    The arrays a batch makes (child keys, raw bits, uniforms, normals and
+    the pending Box-Muller pair) are taken from `workspace`, which its
+    children share; a batch made without one gets one sized to itself.
     """
 
-    __slots__ = ("keys", "_counter", "_pending")
+    __slots__ = ("keys", "workspace", "_counter", "_pending")
 
-    def __init__(self, keys: np.ndarray):
+    def __init__(self, keys: np.ndarray, workspace: Workspace | None = None):
         self.keys = keys
+        self.workspace = Workspace(keys.size) if workspace is None else workspace
         self._counter = 0
+        # (radius, angle) of the Box-Muller pair whose sine branch is next.
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.keys.shape
 
+    def _child(self, parent: np.ndarray, hashed, shape: tuple) -> "StreamBatch":
+        """Batch of keys mix(parent ^ hashed), broadcast to `shape`."""
+        ws = self.workspace
+        keys = np.bitwise_xor(parent, hashed, out=ws.take(shape))
+        return StreamBatch(ws.mix(keys), ws)
+
     def split(self, index: int) -> "StreamBatch":
         """Child `index` of every stream in the batch; the shape is unchanged."""
-        return StreamBatch(_mix_u64(self.keys ^ index_hash([index & _MASK64])[0]))
+        return self._child(self.keys, np.uint64(_mix_int((index & _MASK64) + _GOLDEN)),
+                           self.shape)
 
     def split_many(self, indices) -> "StreamBatch":
         """Child batch of shape `self.shape + indices.shape`."""
         idx = np.asarray(indices, dtype=np.uint64)
-        keys = _child_keys(self.keys[..., None], idx.reshape((1,) * self.keys.ndim + idx.shape))
-        return StreamBatch(keys)
+        ws = self.workspace
+        hashed = ws.mix(np.add(idx, _U_GOLDEN, out=ws.take(idx.shape)))
+        return self._child(self.keys.reshape(self.shape + (1,) * idx.ndim), hashed,
+                           self.shape + idx.shape)
 
     def split_hashed(self, hashed: np.ndarray) -> "StreamBatch":
         """Like split_many on a 1-D index set pre-hashed by `index_hash`."""
-        return StreamBatch(_mix_u64(self.keys[..., None] ^ hashed))
+        return self._child(self.keys[..., None], hashed, self.shape + hashed.shape)
 
     def uniforms(self) -> np.ndarray:
         """One uniform in [0, 1) from each stream."""
-        out = _to_unit(_raw_at(self.keys, self._counter))
+        ws = self.workspace
+        step = np.uint64(((self._counter + 1) * _GOLDEN) & _MASK64)
+        bits = ws.mix(np.add(self.keys, step, out=ws.take(self.shape)))
         self._counter += 1
-        return out
+        return _to_unit(bits, ws.take(self.shape, np.float64))
 
     def gaussians(self) -> np.ndarray:
         """One standard normal from each stream."""
-        if self._pending is not None:
-            u1, u2 = self._pending
-            self._pending = None
-            return _gauss_second(u1, u2)
-        u1 = self.uniforms()
-        u2 = self.uniforms()
-        self._pending = (u1, u2)
-        return _gauss_first(u1, u2)
+        if self._pending is None:
+            r = _radius(self.uniforms())
+            t = self.uniforms()
+            t *= _TWO_PI
+            self._pending = (r, t)
+            trig = np.cos
+        else:
+            (r, t), self._pending = self._pending, None
+            trig = np.sin
+        out = trig(t, out=self.workspace.take(self.shape, np.float64))
+        out *= r
+        return out
 
 
 def make_root(seed: int) -> RngStream:

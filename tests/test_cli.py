@@ -6,6 +6,10 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -450,3 +454,16 @@ def test_main_never_raises(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 2, 3), argv
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # scipy.special serves the quadrature oracle only; a fresh interpreter
+    # that imports the CLI and builds a model must not pay for it.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, nestmc.cli; from nestmc.models import CATALOG; "
+            "CATALOG['gauss-log'](); print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

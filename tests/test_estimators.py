@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -206,6 +209,49 @@ def test_nmc_replications_some_degenerate():
     assert values[degf < 1].tolist() == [v for v, d in zip(want_values, want_degf) if d < 1]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts are compared on Linux only")
+def test_large_row_reuses_its_draw_buffers():
+    # 32 blocks of 2**16 inner draws.  Drawing each into fresh temporaries
+    # faults ~15k pages per call; reused buffers fault a few hundred.
+    p = CATALOG["gauss-log"]()
+    row = make_root(5).split(0)
+    nmc_replications(p, 16, 65536, row, 0, 2)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    nmc_replications(p, 16, 65536, row, 0, 2)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 2000
+
+
+def test_threads_never_share_a_workspace():
+    # Spans on many threads take workspaces from one idle list and draw at
+    # once; with frequent thread switches each must still give the values it
+    # gives alone.
+    p = CATALOG["gauss-log"]()
+    rows = [make_root(9).split(k) for k in range(6)]
+    want = [nmc_replications(p, 16, 4096, row, 0, 2)[0] for row in rows]
+    got = {}
+
+    def work(k):
+        for _ in range(3):
+            got.setdefault(k, []).append(nmc_replications(p, 16, 4096, rows[k], 0, 2)[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(rows))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k, values in enumerate(want):
+        assert len(got[k]) == 3
+        for v in got[k]:
+            np.testing.assert_array_equal(v, values)
+
+
 def test_nmc_unbiased_under_linearity():
     # E[I_{N,M}] = I for linear f, at every small (N, M); R = 1e4.
     p = CATALOG["linear-gauss"]()
@@ -213,9 +259,8 @@ def test_nmc_unbiased_under_linearity():
     R = 10**4
     s = make_root(97)
     for row, (N, M) in enumerate([(N, M) for N in (1, 2, 5) for M in (1, 2, 5)]):
-        row_stream = s.split(row)
-        vals = np.array([nmc_estimate(p, N, M, row_stream.split(r)).value
-                         for r in range(R)])
+        # Replication r equals nmc_estimate(p, N, M, s.split(row).split(r)).
+        vals, _ = nmc_replications(p, N, M, s.split(row), 0, R)
         se = np.std(vals, ddof=1) / math.sqrt(R)
         assert abs(vals.mean() - truth) <= 4 * se, (N, M)
 

@@ -144,6 +144,17 @@ def test_convergence_worker_count_is_invisible():
                                make_root(9), workers=workers) == base
 
 
+def test_convergence_worker_count_is_invisible_above_one_chunk():
+    # M = 70000 > 2**16: each outer draw's inner draws span two chunks, and
+    # each of the two threads draws them into its own workspace.
+    p = CATALOG["gauss-log"]()
+    run = lambda workers: run_convergence(p, FixedOuter(2), [8, 140000], 6, make_root(12),
+                                          workers=workers)
+    base = run(1)
+    assert base.rows[1].M == 70000
+    assert run(2) == base
+
+
 def test_convergence_mse_strictly_decreasing_on_benchmark():
     # One sampling-noise inversion is allowed across the seven budget steps.
     p = CATALOG["gauss-log"]()

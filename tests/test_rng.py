@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestmc.rng import RngStream, make_root, next_gaussian, next_uniform, split
+from nestmc.rng import RngStream, Workspace, make_root, next_gaussian, next_uniform, split
 
 
 def _uniforms(stream, n):
@@ -127,6 +127,54 @@ def test_nested_batch_split_matches_scalar_grandchildren():
     for n in range(3):
         for m in range(5):
             assert u[n, m] == next_uniform(root.split(n).split(m))
+
+
+# Large enough for the workspace to serve it from its pooled buffers.
+_POOLED = np.arange(1 << 13, dtype=np.uint64)
+
+
+def test_pending_normal_survives_workspace_reuse():
+    # A batch's second normal comes from the Box-Muller pair of its first;
+    # other batches drawing into the same workspace in between must not
+    # change it.
+    ws = Workspace(1 << 14)
+    a = make_root(3).split_many(_POOLED, ws)
+    a.gaussians()
+    for seed in (4, 5):
+        b = make_root(seed).split_many(_POOLED, ws)
+        b.uniforms()
+        b.gaussians()
+        b.gaussians()
+    fresh = make_root(3).split_many(_POOLED)
+    fresh.gaussians()
+    np.testing.assert_array_equal(a.gaussians(), fresh.gaussians())
+
+
+def test_workspace_never_overwrites_a_held_draw():
+    ws = Workspace(1 << 14)
+    batch = make_root(6).split_many(_POOLED, ws)
+    kept = [batch.uniforms(), batch.gaussians(), batch.gaussians(), batch.split(1).keys]
+    copies = [k.copy() for k in kept]
+    for seed in range(8):
+        other = make_root(seed).split_many(_POOLED, ws)
+        other.split(2).gaussians()
+        other.uniforms()
+    for k, c in zip(kept, copies):
+        np.testing.assert_array_equal(k, c)
+    fresh = make_root(6).split_many(_POOLED)
+    np.testing.assert_array_equal(kept[0], fresh.uniforms())
+    np.testing.assert_array_equal(kept[1], fresh.gaussians())
+
+
+def test_workspace_recycles_a_dropped_buffer():
+    ws = Workspace(1 << 14)
+    first = ws.take((1 << 13,))
+    address = first.__array_interface__["data"][0]
+    held = ws.take((1 << 13,))
+    assert held.__array_interface__["data"][0] != address
+    del first
+    again = ws.take((2, 1 << 12), np.float64)
+    assert again.__array_interface__["data"][0] == address
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
