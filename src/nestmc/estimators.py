@@ -1,18 +1,19 @@
-"""Monte Carlo estimators: plain, inner, nested, depth-recursive, collapsed.
+"""Monte Carlo estimators: plain, nested, depth-recursive, collapsed.
 
 Every estimator is a pure function of its stream: repeated calls with the
 same stream are bit-identical, and the per-draw stream layout (outer draw n
 on child <0,n>, inner block n on child <1,n>, inner draw m on grandchild m)
 makes results independent of evaluation order and worker count.
 
-One block driver (``_replicate`` over ``_outer_terms``) draws every nested
-and collapsed estimate of a model with batch samplers, for one replication
-or a span of a row's.  Its blocks depend on (N, M) alone, and every mean
-runs over a contiguous last axis, so block grouping never changes a value.
-Each span draws into one block-sized ``Workspace`` taken from an idle list,
-so the blocks of a span, and the spans after it, reuse the same buffers.
-Models without batch samplers are drawn one scalar at a time (the nested
-estimator as a depth-2 ``ProblemTree``), with the same values bit for bit.
+One block driver (``_replicate`` over ``_outer_terms``) draws every plain,
+nested and collapsed estimate, for one replication or a span of a row's.
+Its blocks depend on (N, M) alone, and every mean runs over a contiguous
+last axis, so block grouping never changes a value.  Each span draws into
+one block-sized ``Workspace`` taken from an idle list, so the blocks of a
+span, and the spans after it, reuse the same buffers.  Samplers come from
+``NestedProblem.batch_samplers``: a model without batch samplers has its
+scalar ones run stream by stream under the same blocks, with the same
+values bit for bit.  ``nmc_estimate_depth`` is the scalar reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .rng import RngStream, Workspace, index_hash, split
 __all__ = [
     "Estimate",
     "mc_estimate",
-    "inner_estimate",
     "nmc_estimate",
     "nmc_replications",
     "nmc_estimate_depth",
@@ -92,10 +92,6 @@ class Estimate:
         return self.degenerate_count < self.n_outer
 
 
-def _batched(p: NestedProblem) -> bool:
-    return p.outer_batch is not None and p.inner_batch is not None
-
-
 def _finalize(fv: np.ndarray) -> tuple:
     """Exclude-and-count reduction of each row of outer terms (the last axis).
 
@@ -123,16 +119,19 @@ def mc_estimate(sampler: Callable, integrand: Callable, N: int, s: RngStream,
                 sampler_batch: Optional[Callable] = None) -> Estimate:
     """Plain Monte Carlo mean of integrand(y) with y_n drawn from split(s, n).
 
-    ``sampler_batch``, when given, draws one y per stream of a StreamBatch
-    and must reproduce the scalar sampler's draws exactly; it only changes
-    speed, never values.
+    Without ``sampler_batch`` the integrand sees one scalar draw at a time:
+    integrand(sampler(stream)) runs on each stream.  ``sampler_batch``, when
+    given, draws one y per stream of a StreamBatch and the integrand gets the
+    array; it must reproduce the scalar sampler's draws exactly, and only
+    changes speed, never values.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if sampler_batch is not None:
-        vals = _single(lambda b, idx: integrand(sampler_batch(b.split_many(idx))), s, N, 1)
+        terms = lambda b, idx: integrand(sampler_batch(b.split_many(idx)))
     else:
-        vals = np.array([integrand(sampler(split(s, n))) for n in range(N)], dtype=float)
+        terms = lambda b, idx: b.split_many(idx).each(lambda sn: integrand(sampler(sn)))
+    vals = _single(terms, s, N, 1)
     return Estimate(
         value=float(np.mean(vals)),
         n_outer=N,
@@ -155,21 +154,6 @@ def _chunked_mean(values_for: Callable, count: int):
     parts = [np.add.reduce(values_for(lo, min(lo + _CHUNK, count)), axis=-1)
              for lo in range(0, count, _CHUNK)]
     return np.add.reduce(np.stack(parts, axis=-1), axis=-1) / count
-
-
-def inner_estimate(p: NestedProblem, y, M: int, s: RngStream) -> float:
-    """Inner sample mean (1/M) sum_m phi(y, z_m) with z_m from split(s, m)."""
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if p.inner_batch is not None:
-        def values_for(lo, hi):
-            z = p.inner_batch(s.split_many(np.arange(lo, hi, dtype=np.uint64)), y)
-            return p.phi(y, z)
-    else:
-        def values_for(lo, hi):
-            return np.array([p.phi(y, p.inner_sampler(split(s, m), y))
-                             for m in range(lo, hi)], dtype=float)
-    return float(_chunked_mean(values_for, M))
 
 
 def _outer_terms(terms: Callable, reps, N: int, M: int) -> np.ndarray:
@@ -211,13 +195,14 @@ def _single(terms: Callable, s: RngStream, N: int, M: int) -> np.ndarray:
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
     """Nested-estimator terms f(y_n, inner mean of M draws) for _outer_terms."""
     mhash = index_hash(np.arange(M, dtype=np.uint64))
+    outer_batch, inner_batch = p.batch_samplers()
 
     def terms(reps, idx):
-        y = p.outer_batch(reps.split(0).split_many(idx))
+        y = outer_batch(reps.split(0).split_many(idx))
         yb = y[..., None]
         inner = reps.split(1).split_many(idx)
         w = _chunked_mean(
-            lambda lo, hi: p.phi(yb, p.inner_batch(inner.split_hashed(mhash[lo:hi]), yb)), M)
+            lambda lo, hi: p.phi(yb, inner_batch(inner.split_hashed(mhash[lo:hi]), yb)), M)
         return p.f(y, w)
     return terms
 
@@ -228,13 +213,10 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     Outer draw n comes from child stream <0,n>, its inner block from <1,n>
     with one grandchild per inner draw, so terms are independent and the
     result does not depend on evaluation order.  Non-finite f outputs are
-    excluded from the average and reported in ``degenerate_count``.  A model
-    without batch samplers is estimated draw by draw as a depth-2 tree.
+    excluded from the average and reported in ``degenerate_count``.
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
-    if not _batched(p):
-        return nmc_estimate_depth(ProblemTree.from_problem(p), (N, M), s)
     return _estimate(_single(_nested_terms(p, M), s, N, M), s, M, N * M, (N, M))
 
 
@@ -244,13 +226,10 @@ def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
 
     Returns (values, degenerate_fracs), two float arrays of length hi - lo.
     Entry r - lo equals nmc_estimate(p, N, M, row.split(r)).value and its
-    degenerate_count / N bit for bit, whatever the span.  The model needs
-    batch samplers.
+    degenerate_count / N bit for bit, whatever the span.
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
-    if not _batched(p):
-        raise ValueError(f"model {p.name!r} has no batch samplers")
     return _replicate(_nested_terms(p, M), N, M, row, lo, hi)
 
 
@@ -304,10 +283,12 @@ def nmc_estimate_depth(t: ProblemTree, counts: Sequence[int], s: RngStream) -> E
 
 def _collapsed_terms(p: NestedProblem) -> Callable:
     """Outer terms f(y_n, phi(y_n, z_n)), y_n and z_n drawn in order from child n."""
+    outer_batch, inner_batch = p.batch_samplers()
+
     def terms(reps, idx):
         b = reps.split_many(idx)
-        y = p.outer_batch(b)
-        return p.f(y, p.phi(y, p.inner_batch(b, y)))
+        y = outer_batch(b)
+        return p.f(y, p.phi(y, inner_batch(b, y)))
     return terms
 
 
@@ -327,17 +308,7 @@ def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
     from child stream n; total_draws = N.
     """
     _check_collapse(p, N)
-    if _batched(p):
-        fv = _single(_collapsed_terms(p), s, N, 1)
-    else:
-        fv = np.empty(N, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for n in range(N):
-                sn = split(s, n)
-                y = p.outer_sampler(sn)
-                z = p.inner_sampler(sn, y)
-                fv[n] = p.f(y, p.phi(y, z))
-    return _estimate(fv, s, 1, N)
+    return _estimate(_single(_collapsed_terms(p), s, N, 1), s, 1, N)
 
 
 def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
@@ -346,9 +317,7 @@ def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
 
     Returns (values, degenerate_fracs) equal bit for bit to
     collapsed_estimate(p, N, row.split(r)), as nmc_replications does for
-    the nested estimator.  The model needs batch samplers.
+    the nested estimator.
     """
     _check_collapse(p, N)
-    if not _batched(p):
-        raise ValueError(f"model {p.name!r} has no batch samplers")
     return _replicate(_collapsed_terms(p), N, 1, row, lo, hi)

@@ -4,10 +4,9 @@ Every runner follows the same pattern: a grid of configurations, R
 independent replications per grid row on streams derived from
 ``split(split(s, row_index), rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
-bit-identical across runs and worker counts.  Models with batch samplers
-are evaluated a block of replications at a time (``nmc_replications``,
-``collapsed_replications``); the others go replication by replication, with
-the same values either way.
+bit-identical across runs and worker counts.  Every row is evaluated a
+block of replications at a time (``nmc_replications``,
+``collapsed_replications``), whatever the model's samplers.
 """
 
 from __future__ import annotations
@@ -16,13 +15,14 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .allocation import AllocationPolicy, FixedInner, split_budget
-from .estimators import (collapsed_estimate, collapsed_replications, nmc_estimate,
-                         nmc_replications)
+# nmc_estimate is unused here; it stays bound for bench/tracing.py, which wraps it.
+from .estimators import collapsed_replications, nmc_estimate, nmc_replications
 from .problem import NestedProblem
 from .rng import RngStream
 
@@ -145,22 +145,9 @@ def _require_truth(p: NestedProblem) -> float:
     return float(p.truth)
 
 
-# span(row_stream, lo, hi) -> (values, degenerate_fracs) of replications lo..hi-1.
+# span(row_stream, lo, hi) -> (values, degenerate_fracs) of replications lo..hi-1,
+# e.g. partial(nmc_replications, p, N, M).
 _SpanFn = Callable[[RngStream, int, int], tuple]
-
-
-def _span(p: NestedProblem, replications: Callable, est_fn: Callable, *counts: int) -> _SpanFn:
-    """Span function of one row: replications(p, *counts, row_stream, lo, hi)
-    for a model with batch samplers, else est_fn(p, *counts, row_stream.split(r))
-    once per replication."""
-    if p.outer_batch is not None and p.inner_batch is not None:
-        return lambda row_stream, lo, hi: replications(p, *counts, row_stream, lo, hi)
-
-    def one_by_one(row_stream, lo, hi):
-        ests = [est_fn(p, *counts, row_stream.split(r)) for r in range(lo, hi)]
-        return (np.array([e.value for e in ests], dtype=np.float64),
-                np.array([e.degenerate_count / e.n_outer for e in ests], dtype=np.float64))
-    return one_by_one
 
 
 def _fill_replications(span_fns: Sequence[_SpanFn], row_stream: RngStream, R: int,
@@ -277,7 +264,7 @@ def run_convergence(p: NestedProblem, policy: AllocationPolicy, budgets: Sequenc
     for T in _budget_list(budgets):
         N, M = split_budget(policy, T)
         splits.append((T, N, M))
-    span_for = lambda N, M: _span(p, nmc_replications, nmc_estimate, N, M)
+    span_for = lambda N, M: partial(nmc_replications, p, N, M)
     return _convergence_sweep(p, policy, splits, R, s, span_for,
                               rep_schedule, drop_smallest, workers)
 
@@ -291,7 +278,7 @@ def run_collapsed_convergence(p: NestedProblem, Ns: Sequence[int], R: int, s: Rn
     is 1.  Requires a model with linear_g.
     """
     splits = [(N, N, 1) for N in _budget_list(Ns)]
-    span_for = lambda N, M: _span(p, collapsed_replications, collapsed_estimate, N)
+    span_for = lambda N, M: partial(collapsed_replications, p, N)
     return _convergence_sweep(p, None, splits, R, s, span_for,
                               rep_schedule, drop_smallest, workers)
 
@@ -312,7 +299,7 @@ def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, 
     for idx, M in enumerate(sorted({int(M) for M in Ms})):
         if M < 1:
             raise ValueError(f"inner counts must be >= 1, got {M}")
-        span = _span(p, nmc_replications, nmc_estimate, N, M)
+        span = partial(nmc_replications, p, N, M)
         vals = _fill_replications([span], s.split(idx), R, workers)[0][0]
         mean_error = float(np.mean(vals)) - truth
         se = float(np.sqrt(np.var(vals, ddof=1) / R))
@@ -363,7 +350,7 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
     if not policies:
         raise ValueError("need at least one policy to compare")
     splits = [split_budget(policy, T) for policy in policies]
-    spans = [_span(p, nmc_replications, nmc_estimate, N, M) for N, M in splits]
+    spans = [partial(nmc_replications, p, N, M) for N, M in splits]
     vals, _ = _fill_replications(spans, s, R, workers)
     errs = vals - truth
 

@@ -22,7 +22,7 @@ from typing import Callable, Dict
 import numpy as np
 
 from . import _constants as _C
-from .problem import GaussianInner, InnerKind, NestedProblem
+from .problem import GaussianInner, NestedProblem
 
 __all__ = [
     "make_gauss_log",
@@ -80,7 +80,6 @@ def make_gauss_log() -> NestedProblem:
     """Log-of-mean benchmark: f(y,w) = log(w), truth known in closed form."""
     return NestedProblem(
         outer_sampler=_outer_uniform,
-        inner_kind=InnerKind.MARGINAL,
         inner_sampler=_inner_normal,
         phi=_phi_kernel,
         f=lambda y, w: np.log(w),
@@ -123,7 +122,6 @@ def make_bias_quadratic(sign: int) -> NestedProblem:
 
     return NestedProblem(
         outer_sampler=_outer_uniform,
-        inner_kind=InnerKind.MARGINAL,
         inner_sampler=_inner_normal,
         phi=_phi_kernel,
         f=f,
@@ -141,7 +139,6 @@ def make_linear_gauss() -> NestedProblem:
     """Linear model: f(y,w) = (1+y^2)*w, collapsible to a single expectation."""
     return NestedProblem(
         outer_sampler=_outer_uniform,
-        inner_kind=InnerKind.MARGINAL,
         inner_sampler=_inner_normal,
         phi=_phi_kernel,
         f=lambda y, w: (1.0 + y * y) * w,
@@ -159,7 +156,6 @@ def make_constant(c: float = 1.0) -> NestedProblem:
     """Constant model: phi = c everywhere, f(y,w) = w, truth = c exactly."""
     return NestedProblem(
         outer_sampler=_outer_uniform,
-        inner_kind=InnerKind.MARGINAL,
         inner_sampler=_inner_normal,
         phi=lambda y, z: np.asarray(z, dtype=float) * 0.0 + c,
         f=lambda y, w: w,

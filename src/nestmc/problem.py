@@ -10,7 +10,6 @@ ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Callable, Optional, Union
 
@@ -19,7 +18,6 @@ import numpy as np
 from .rng import RngStream, make_root, split
 
 __all__ = [
-    "InnerKind",
     "GaussianInner",
     "BoundedInner",
     "NestedProblem",
@@ -27,13 +25,6 @@ __all__ = [
     "validate",
     "gamma_quadrature",
 ]
-
-
-class InnerKind(Enum):
-    """Whether inner draws condition on the outer draw or ignore it."""
-
-    CONDITIONAL = "conditional"  # z ~ p(z|y)
-    MARGINAL = "marginal"        # z ~ p(z), independent of y
 
 
 @dataclass(frozen=True)
@@ -58,19 +49,20 @@ class NestedProblem:
     """A nested expectation E_y[ f(y, E_{z}[phi(y, z)]) ].
 
     Samplers receive their stream explicitly and must consume a fixed number
-    of draws per call.  ``phi`` and ``f`` must accept numpy arrays and
-    broadcast; all built-in models are scalar-valued.
+    of draws per call; the estimators raise ValueError when a scalar sampler
+    takes different numbers of draws on the streams of one batch.  ``phi``
+    and ``f`` must accept numpy arrays and broadcast; all built-in models are
+    scalar-valued.
 
     Optional oracle fields (``gamma_exact``, ``truth``, ``linear_g``) enable
     testing and the linear-collapse estimator but are not required by the
     estimators themselves.  ``outer_batch`` / ``inner_batch`` are optional
     vectorized samplers drawing one value per stream of a batch; when absent
-    the estimators fall back to per-stream scalar sampling with identical
-    output.
+    ``batch_samplers`` runs the scalar sampler stream by stream, with
+    identical output.
     """
 
     outer_sampler: Callable[[RngStream], float]
-    inner_kind: InnerKind
     inner_sampler: Callable[[RngStream, float], float]
     phi: Callable
     f: Callable
@@ -87,6 +79,12 @@ class NestedProblem:
     # Closed-form E[I_{N,M}] as a function of M, for models where the estimator
     # expectation is known exactly (the quadratic bias pair).
     expected_nmc_value: Optional[Callable[[int], float]] = None
+
+    def batch_samplers(self) -> tuple:
+        """(outer_batch, inner_batch); a missing one runs the scalar sampler
+        on each stream of the batch (``StreamBatch.each``)."""
+        return (self.outer_batch or (lambda b: b.each(self.outer_sampler)),
+                self.inner_batch or (lambda b, y: b.each(self.inner_sampler, y)))
 
 
 @dataclass(frozen=True)

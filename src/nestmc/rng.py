@@ -16,6 +16,11 @@ the second is produced on the following draw, so a pair always consumes
 exactly two uniforms.  Bit-exactness is promised within this
 implementation only, not across languages or libraries.
 
+A stream and a batch hold the same state, a counter and the (radius, angle)
+of a pending Box-Muller pair, so :meth:`StreamBatch.each` can run a scalar
+sampler on each stream of a batch and leave the batch where the sampler
+left the streams.
+
 A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
 into the buffers of a :class:`Workspace`, so a loop that draws block after
 block of the same size reuses the same memory instead of allocating (and,
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -165,11 +171,12 @@ class Workspace:
 class RngStream:
     """One reproducible random stream, identified by (root_seed, path).
 
-    The stream holds a draw counter and a cached second Box-Muller output;
-    ``split`` is pure and never advances the parent.
+    The stream holds a draw counter and the (radius, angle) of a pending
+    Box-Muller pair, as one-element arrays, whose sine branch is its next
+    normal; ``split`` is pure and never advances the parent.
     """
 
-    __slots__ = ("root_seed", "path", "_key", "_counter", "_spare")
+    __slots__ = ("root_seed", "path", "_key", "_counter", "_pending")
 
     def __init__(self, root_seed: int, path: tuple[int, ...] = (), _key: int | None = None):
         self.root_seed = root_seed & _MASK64
@@ -180,7 +187,7 @@ class RngStream:
                 _key = _child_key_int(_key, i)
         self._key = _key
         self._counter = 0
-        self._spare: float | None = None
+        self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.root_seed}, path={list(self.path)}, counter={self._counter})"
@@ -206,12 +213,13 @@ class RngStream:
         return out
 
     def gaussians(self, n: int) -> np.ndarray:
-        """Next `n` standard-normal draws (Box-Muller pairs, cached spare)."""
+        """Next `n` standard-normal draws (Box-Muller pairs; an odd one stays pending)."""
         out = np.empty(n)
         k = 0
-        if self._spare is not None and n > 0:
-            out[0] = self._spare
-            self._spare = None
+        if self._pending is not None and n > 0:
+            r, t = self._pending
+            np.multiply(np.sin(t), r, out=out[:1])
+            self._pending = None
             k = 1
         pairs = (n - k + 1) // 2
         if pairs > 0:
@@ -220,11 +228,10 @@ class RngStream:
             inter = np.empty((pairs, 2))
             np.multiply(np.cos(t), r, out=inter[:, 0])
             np.multiply(np.sin(t), r, out=inter[:, 1])
-            inter = inter.reshape(-1)
             take = n - k
-            out[k:] = inter[:take]
+            out[k:] = inter.reshape(-1)[:take]
             if take < 2 * pairs:
-                self._spare = float(inter[take])
+                self._pending = (r[-1:], t[-1:])
         return out
 
     def next_uniform(self) -> float:
@@ -306,6 +313,36 @@ class StreamBatch:
         out = trig(t, out=self.workspace.take(self.shape, np.float64))
         out *= r
         return out
+
+    def each(self, draw: Callable, *args) -> np.ndarray:
+        """draw(stream, *args) on each stream of the batch, as a float array of its shape.
+
+        Runs a scalar sampler under the batch: `args` broadcast to the
+        batch's shape and go to `draw` element by element, and each stream
+        starts at this batch's counter and pending Box-Muller pair.  The
+        batch then advances by the draws the sampler took, which must be
+        the same on every stream.  The streams carry their keys but not
+        their seed paths.
+        """
+        cols = [np.broadcast_to(a, self.shape).ravel().tolist() for a in args]
+        pending = None if self._pending is None else [a.ravel() for a in self._pending]
+        out = np.empty(self.keys.size)
+        states, left = set(), []
+        for i, key in enumerate(self.keys.ravel().tolist()):
+            s = RngStream(0, (), key)
+            s._counter = self._counter
+            if pending is not None:
+                s._pending = (pending[0][i:i + 1], pending[1][i:i + 1])
+            out[i] = draw(s, *(c[i] for c in cols))
+            states.add((s._counter, s._pending is None))
+            left.append(s._pending)
+        if len(states) > 1:
+            raise ValueError("a sampler must take the same number of draws on every stream")
+        if states:
+            self._counter, idle = states.pop()
+            self._pending = None if idle else tuple(
+                np.concatenate(a).reshape(self.shape) for a in zip(*left))
+        return out.reshape(self.shape)
 
 
 def make_root(seed: int) -> RngStream:

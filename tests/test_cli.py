@@ -168,7 +168,7 @@ def test_degenerate_rows_exit_3(capsys, monkeypatch):
     # Integrand that is never finite: every row flags, cells say so.
     base = CATALOG["gauss-log"]()
     bad = dataclasses.replace(base, name="never-finite", truth=0.0,
-                              f=lambda y, w: float("nan"),
+                              f=lambda y, w: w * float("nan"),
                               outer_batch=None, inner_batch=None,
                               linear_g=None, expected_nmc_value=None)
     monkeypatch.setitem(CATALOG, "never-finite", lambda: bad)

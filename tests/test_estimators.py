@@ -9,9 +9,8 @@ import threading
 import numpy as np
 import pytest
 
-from nestmc.estimators import (collapsed_estimate, collapsed_replications,
-                               inner_estimate, mc_estimate, nmc_estimate,
-                               nmc_estimate_depth, nmc_replications)
+from nestmc.estimators import (collapsed_estimate, collapsed_replications, mc_estimate,
+                               nmc_estimate, nmc_estimate_depth, nmc_replications)
 from nestmc.models import CATALOG, make_constant, make_gauss_log
 from nestmc.problem import ProblemTree
 from nestmc.rng import make_root, next_gaussian, next_uniform, split
@@ -73,43 +72,6 @@ def test_mc_rejects_bad_count():
         mc_estimate(lambda s: 0.0, lambda y: y, 0, make_root(0))
 
 
-# ------------------------------------------------------------- inner_estimate
-
-def test_inner_constant_phi_exact():
-    p = make_constant(4.0)
-    assert inner_estimate(p, 0.0, 11, make_root(3)) == 4.0
-
-
-def test_inner_single_draw_definition():
-    p = make_gauss_log()
-    s = make_root(5)
-    got = inner_estimate(p, 0.25, 1, s)
-    z1 = p.inner_sampler(split(s, 0), 0.25)
-    assert got == p.phi(0.25, z1)
-
-
-def test_inner_replication_mean_hits_gamma():
-    # gamma(0) = 0.35682...; 200 replications of the M=1e5 inner mean.
-    p = make_gauss_log()
-    s = make_root(71)
-    vals = np.array([inner_estimate(p, 0.0, 10**5, s.split(r)) for r in range(200)])
-    se = np.std(vals, ddof=1) / math.sqrt(200)
-    assert abs(vals.mean() - 0.35682) <= 3 * se
-
-
-def test_inner_rejects_bad_count():
-    with pytest.raises(ValueError):
-        inner_estimate(make_gauss_log(), 0.0, 0, make_root(0))
-
-
-def test_inner_batch_matches_scalar():
-    p = make_gauss_log()
-    q = _scalar_variant(p)
-    s = make_root(6)
-    for M in (1, 2, 33, 1000):
-        assert inner_estimate(p, 0.4, M, s) == inner_estimate(q, 0.4, M, s)
-
-
 # --------------------------------------------------------------- nmc_estimate
 
 def test_nmc_constant_exact():
@@ -136,8 +98,31 @@ def test_nmc_rejects_bad_counts():
         nmc_estimate(p, 5, 0, make_root(0))
     with pytest.raises(ValueError):
         nmc_replications(p, 0, 4, make_root(0), 0, 2)
-    with pytest.raises(ValueError):  # replication blocks need batch samplers
-        nmc_replications(_scalar_variant(p), 4, 4, make_root(0), 0, 2)
+
+
+def test_variable_draw_sampler_raises():
+    # Rejection sampling takes a data-dependent number of uniforms per draw,
+    # which breaks the fixed-draw contract of NestedProblem.
+    def rejection(s):
+        u = next_uniform(s)
+        while u < 0.5:
+            u = next_uniform(s)
+        return 2.0 * u - 1.0
+
+    p = dataclasses.replace(_scalar_variant(make_gauss_log()), outer_sampler=rejection)
+    with pytest.raises(ValueError, match="same number of draws"):
+        nmc_estimate(p, 64, 4, make_root(0))
+
+
+def test_nmc_replications_without_batch_samplers_match_batched():
+    # A span that is not a multiple of the 2**14 // 64 = 256 replications
+    # of an 8x8 block; test_collapsed_replications_match_collapsed_estimate
+    # checks the collapsed kernel the same way.
+    p = CATALOG["linear-gauss"]()
+    row = make_root(61).split(3)
+    for a, b in zip(nmc_replications(_scalar_variant(p), 8, 8, row, 5, 5 + 256 + 7),
+                    nmc_replications(p, 8, 8, row, 5, 5 + 256 + 7)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_nmc_repeated_calls_bit_identical():
@@ -379,8 +364,50 @@ def test_collapsed_replications_match_collapsed_estimate(model, N, lo, hi):
     ests = [collapsed_estimate(p, N, row.split(r)) for r in range(lo, hi)]
     assert values.tolist() == [e.value for e in ests]
     assert degf.tolist() == [e.degenerate_count / N for e in ests]
-    with pytest.raises(ValueError):
-        collapsed_replications(_scalar_variant(p), N, row, lo, hi)
+    scalar_values, scalar_degf = collapsed_replications(_scalar_variant(p), N, row, lo, hi)
+    assert scalar_values.tolist() == values.tolist()
+    assert scalar_degf.tolist() == degf.tolist()
+
+
+def _gaussian_outer_model(k):
+    """linear-gauss with y the last of k normals per outer draw, and its batched twin.
+
+    Odd k leaves a Box-Muller pair pending after the outer draw, so the
+    inner normal of the collapsed estimator is that pair's sine branch.
+    """
+    def outer(s):
+        for _ in range(k):
+            y = s.next_gaussian()
+        return y
+
+    def outer_batch(b):
+        for _ in range(k):
+            y = b.gaussians()
+        return y
+
+    twin = dataclasses.replace(CATALOG["linear-gauss"](), outer_sampler=outer,
+                               outer_batch=outer_batch)
+    return _scalar_variant(twin), twin
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_collapsed_pending_pair_crosses_samplers(k):
+    scalar, twin = _gaussian_outer_model(k)
+    s = make_root(37)
+    N = 301
+    terms = []
+    for n in range(N):
+        sn = split(s, n)
+        y = scalar.outer_sampler(sn)
+        z = scalar.inner_sampler(sn, y)
+        terms.append(scalar.f(y, scalar.phi(y, z)))
+    want = np.mean(np.array(terms, dtype=float))
+    assert collapsed_estimate(scalar, N, s).value == want
+    assert collapsed_estimate(twin, N, s).value == want
+    # Either sampler alone batched: the pair crosses between the two forms.
+    for mixed in (dataclasses.replace(twin, outer_batch=None),
+                  dataclasses.replace(twin, inner_batch=None)):
+        assert collapsed_estimate(mixed, N, s).value == want
 
 
 def test_collapsed_replication_mean_hits_truth():

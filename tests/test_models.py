@@ -159,10 +159,8 @@ def test_sign_antisymmetry_is_exact():
 
 
 def test_gauss_log_marginal_inner_kind():
-    from nestmc.problem import InnerKind
     p = make_gauss_log()
     # z ~ N(0,1) ignores y entirely.
-    assert p.inner_kind is InnerKind.MARGINAL
     z1 = p.inner_sampler(make_root(1), -0.9)
     z2 = p.inner_sampler(make_root(1), 0.9)
     assert z1 == z2

@@ -5,8 +5,8 @@ import math
 import pytest
 
 from nestmc.models import CATALOG
-from nestmc.problem import (BoundedInner, InnerKind, NestedProblem, ProblemTree,
-                            gamma_quadrature, validate)
+from nestmc.problem import (BoundedInner, NestedProblem, ProblemTree, gamma_quadrature,
+                            validate)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -18,7 +18,6 @@ def _identity_linear_problem(f, linear_g):
     base = CATALOG["linear-gauss"]()
     return NestedProblem(
         outer_sampler=base.outer_sampler,
-        inner_kind=base.inner_kind,
         inner_sampler=base.inner_sampler,
         phi=base.phi,
         f=f,
@@ -97,7 +96,6 @@ def test_bounded_inner_quadrature():
     # z ~ Uniform(0, 2): E[z^2] = 4/3 by Gauss-Legendre.
     p = NestedProblem(
         outer_sampler=lambda s: 0.0,
-        inner_kind=InnerKind.MARGINAL,
         inner_sampler=lambda s, y: 2.0 * s.next_uniform(),
         phi=lambda y, z: z**2,
         f=lambda y, w: w,

@@ -1,6 +1,7 @@
 """Splittable stream determinism, distribution sanity, and batch/scalar parity."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -127,6 +128,45 @@ def test_nested_batch_split_matches_scalar_grandchildren():
     for n in range(3):
         for m in range(5):
             assert u[n, m] == next_uniform(root.split(n).split(m))
+
+
+def test_each_runs_scalar_draws_under_the_batch():
+    # Batch and scalar draws interleave on one counter and one pending
+    # Box-Muller pair: a batch cosine, a scalar sine, a scalar uniform with
+    # a per-stream argument, then a batch cosine of the next pair.
+    root = make_root(17)
+    batch = root.split_many(np.arange(12, dtype=np.uint64).reshape(3, 4))
+    shift = np.arange(4.0)
+    got = [batch.gaussians(),
+           batch.each(next_gaussian),
+           batch.each(lambda s, c: c + next_uniform(s), shift),
+           batch.gaussians()]
+    for i in range(12):
+        child = root.split(i)
+        want = [next_gaussian(child), next_gaussian(child),
+                shift[i % 4] + next_uniform(child), next_gaussian(child)]
+        assert [g.reshape(-1)[i] for g in got] == want
+
+
+def test_each_leaves_a_pending_pair_for_the_batch():
+    root = make_root(18)
+    batch = root.split_many(np.arange(5, dtype=np.uint64))
+    first = batch.each(lambda s: s.gaussians(3)[-1])
+    second = batch.gaussians()
+    for i in range(5):
+        child = root.split(i)
+        g = child.gaussians(4)
+        assert (first[i], second[i]) == (g[2], g[3])
+
+
+def test_each_rejects_a_variable_number_of_draws():
+    batch = make_root(19).split_many(np.arange(8, dtype=np.uint64))
+    with pytest.raises(ValueError):
+        batch.each(lambda s: next_uniform(s) if s.next_uniform() < 0.5 else 0.0)
+    odd_pending = lambda s: (s.next_gaussian() if s.next_uniform() < 0.5
+                             else s.next_uniform() + s.next_uniform())
+    with pytest.raises(ValueError):  # counters agree, pending pairs do not
+        make_root(20).split_many(np.arange(8, dtype=np.uint64)).each(odd_pending)
 
 
 # Large enough for the workspace to serve it from its pooled buffers.
