@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .allocation import TauPower, budget_grid, parse_policy
@@ -40,11 +40,7 @@ _COLLAPSE_COLS = ["estimator"] + _CONVERGE_COLS
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed command line; field values keep their flag spellings.
-
-    Grid and schedule flags stay as strings so that serializing with
-    to_args() and reparsing yields an equal config.
-    """
+    """Parsed command line; field values keep their flag spellings."""
 
     sub: str
     action: Optional[str] = None
@@ -71,31 +67,6 @@ class RunConfig:
             if hasattr(ns, f.name):
                 kwargs[f.name] = getattr(ns, f.name)
         return cls(**kwargs)
-
-    def to_args(self) -> List[str]:
-        args = [self.sub]
-        if self.sub == "models":
-            return args + [self.action or "list"]
-        args += ["--model", self.model or ""]
-        if self.sub == "converge":
-            args += ["--policy", self.policy or "", "--budgets", self.budgets or ""]
-        elif self.sub == "bias":
-            args += ["--N", str(self.N), "--Ms", self.Ms or ""]
-        elif self.sub == "allocate":
-            args += ["--T", str(self.T), "--policies", self.policies or ""]
-        elif self.sub == "collapse":
-            args += ["--budgets", self.budgets or ""]
-        if self.sub in ("converge", "collapse"):
-            args += ["--drop-smallest", str(self.drop_smallest)]
-            if self.rep_schedule is not None:
-                args += ["--rep-schedule", self.rep_schedule]
-        args += ["--reps", str(self.reps)]
-        if self.seed is not None:
-            args += ["--seed", str(self.seed)]
-        if self.out is not None:
-            args += ["--out", self.out]
-        args += ["--format", self.fmt, "--workers", str(self.workers)]
-        return args
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -204,36 +175,10 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence], comments: Sequence[str]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_cell(v) for v in row])
-    for line in comments:
-        buf.write(line + "\n")
-    return buf.getvalue()
-
-
 def _jnum(v):
     if v is None or (isinstance(v, float) and not math.isfinite(v)):
         return None
     return v
-
-
-def _fit_dict(fit: Optional[SlopeFit]):
-    if fit is None:
-        return None
-    return {"slope": fit.slope, "intercept": fit.intercept,
-            "residual_rms": fit.residual_rms, "points_used": fit.points_used}
-
-
-def _metadata(model: str, policy: Optional[str], seed: int) -> dict:
-    return {"model": model, "policy": policy, "seed": seed, "version": __version__}
-
-
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"
 
 
 def _check_run(cfg: RunConfig) -> None:
@@ -259,26 +204,59 @@ def _emit(text: str, out: Optional[str]) -> None:
         raise ValueError(f"cannot write --out {out!r}: {err.strerror}") from None
 
 
-def _slope_comment(fit: Optional[SlopeFit], note: str, label: str = "slope") -> str:
-    if fit is None:
-        return f"# {label}=none note={note}"
-    return f"# {label}={fit.slope!r} intercept={fit.intercept!r}"
+_Fit = Tuple[str, Optional[SlopeFit], str]
 
 
-def _slope_stdout(fit: Optional[SlopeFit], note: str) -> str:
-    if fit is None:
-        return f"slope=none ({note})"
-    return f"slope={fit.slope!r}"
+def _write_report(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence],
+                  meta: Tuple[str, Optional[str], int], fits: Sequence[_Fit] = (),
+                  tie: Optional[bool] = None) -> None:
+    """Write one report in cfg.fmt to cfg.out or stdout.
+
+    `meta` is (model, policy, seed).  Each fit is (prefix, fit, note): JSON
+    gets `<prefix>fit` and `<prefix>fit_note` after the rows, CSV a
+    `# <prefix>slope=...` comment, and a run with --out echoes
+    `<prefix>slope=...` to stdout.  `tie` follows the fits, as a JSON key or
+    a `# tie=true` comment.
+    """
+    if cfg.fmt == "json":
+        model, policy, seed = meta
+        doc = {"metadata": {"model": model, "policy": policy, "seed": seed,
+                            "version": __version__},
+               "rows": [{k: _jnum(v) for k, v in zip(columns, row)} for row in rows]}
+        for prefix, fit, note in fits:
+            doc[prefix + "fit"] = None if fit is None else dataclasses.asdict(fit)
+            doc[prefix + "fit_note"] = note
+        if tie is not None:
+            doc["tie"] = tie
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows([_cell(v) for v in row] for row in rows)
+        for prefix, fit, note in fits:
+            buf.write(f"# {prefix}slope=none note={note}\n" if fit is None else
+                      f"# {prefix}slope={fit.slope!r} intercept={fit.intercept!r}\n")
+        if tie:
+            buf.write("# tie=true\n")
+        text = buf.getvalue()
+    _emit(text, cfg.out)
+    if cfg.out is not None:
+        for prefix, fit, note in fits:
+            print(f"{prefix}slope=none ({note})" if fit is None else
+                  f"{prefix}slope={fit.slope!r}")
+
+
+def _exit_code(*reports: ConvergenceReport) -> int:
+    """3 when more than 10% of the reports' rows are flagged, else 0."""
+    rows = [r for report in reports for r in report.rows]
+    flagged = sum(1 for r in rows if r.flagged)
+    return 3 if flagged > 0.10 * len(rows) else 0
 
 
 def _converge_rows(report: ConvergenceReport) -> List[list]:
     return [[r.T, r.N, r.M, r.reps, r.mean, r.mse, r.mse_se, r.degenerate_frac]
             for r in report.rows]
-
-
-def _converge_json_rows(report: ConvergenceReport) -> List[dict]:
-    return [{k: _jnum(v) for k, v in zip(_CONVERGE_COLS, row)}
-            for row in _converge_rows(report)]
 
 
 def cmd_converge(cfg: RunConfig) -> int:
@@ -288,19 +266,9 @@ def cmd_converge(cfg: RunConfig) -> int:
     report = run_convergence(p, policy, _parse_grid(cfg.budgets), cfg.reps,
                              make_root(seed), rep_schedule=_parse_schedule(cfg.rep_schedule),
                              drop_smallest=cfg.drop_smallest, workers=cfg.workers)
-    if cfg.fmt == "json":
-        text = _json_text({"metadata": _metadata(report.model, policy.name, seed),
-                           "rows": _converge_json_rows(report),
-                           "fit": _fit_dict(report.fit),
-                           "fit_note": report.fit_note})
-    else:
-        text = _csv_text(_CONVERGE_COLS, _converge_rows(report),
-                         [_slope_comment(report.fit, report.fit_note)])
-    _emit(text, cfg.out)
-    if cfg.out is not None:
-        print(_slope_stdout(report.fit, report.fit_note))
-    flagged = sum(1 for r in report.rows if r.flagged)
-    return 3 if flagged > 0.10 * len(report.rows) else 0
+    _write_report(cfg, _CONVERGE_COLS, _converge_rows(report),
+                  (report.model, policy.name, seed), [("", report.fit, report.fit_note)])
+    return _exit_code(report)
 
 
 def cmd_bias(cfg: RunConfig) -> int:
@@ -311,17 +279,8 @@ def cmd_bias(cfg: RunConfig) -> int:
     report = run_bias(p, cfg.N, _parse_grid(cfg.Ms), cfg.reps, make_root(seed),
                       workers=cfg.workers)
     rows = [[r.M, r.N, r.reps, r.mean_error, r.se, r.predicted] for r in report.rows]
-    if cfg.fmt == "json":
-        text = _json_text({"metadata": _metadata(report.model, None, seed),
-                           "rows": [{k: _jnum(v) for k, v in zip(_BIAS_COLS, row)}
-                                    for row in rows],
-                           "fit": _fit_dict(report.fit),
-                           "fit_note": report.fit_note})
-    else:
-        text = _csv_text(_BIAS_COLS, rows, [_slope_comment(report.fit, report.fit_note)])
-    _emit(text, cfg.out)
-    if cfg.out is not None:
-        print(_slope_stdout(report.fit, report.fit_note))
+    _write_report(cfg, _BIAS_COLS, rows, (report.model, None, seed),
+                  [("", report.fit, report.fit_note)])
     return 0
 
 
@@ -338,15 +297,8 @@ def cmd_allocate(cfg: RunConfig) -> int:
                                workers=cfg.workers)
     rows = [[r.policy.name, r.N, r.M, r.mse, r.mse_se, r.rank] for r in ranking.results]
     policy_meta = ";".join(pol.name for pol in policies)
-    if cfg.fmt == "json":
-        text = _json_text({"metadata": _metadata(ranking.model, policy_meta, seed),
-                           "rows": [{k: _jnum(v) for k, v in zip(_ALLOCATE_COLS, row)}
-                                    for row in rows],
-                           "tie": ranking.tie})
-    else:
-        comments = ["# tie=true"] if ranking.tie else []
-        text = _csv_text(_ALLOCATE_COLS, rows, comments)
-    _emit(text, cfg.out)
+    _write_report(cfg, _ALLOCATE_COLS, rows, (ranking.model, policy_meta, seed),
+                  tie=ranking.tie)
     return 0
 
 
@@ -369,23 +321,10 @@ def cmd_collapse(cfg: RunConfig) -> int:
                              workers=cfg.workers)
     rows = ([["collapsed"] + row for row in _converge_rows(collapsed)]
             + [["nested"] + row for row in _converge_rows(nested)])
-    if cfg.fmt == "json":
-        text = _json_text({"metadata": _metadata(p.name, TauPower(1, 1).name, seed),
-                           "rows": [{k: _jnum(v) for k, v in zip(_COLLAPSE_COLS, row)}
-                                    for row in rows],
-                           "collapsed_fit": _fit_dict(collapsed.fit),
-                           "collapsed_fit_note": collapsed.fit_note,
-                           "nested_fit": _fit_dict(nested.fit),
-                           "nested_fit_note": nested.fit_note})
-    else:
-        text = _csv_text(_COLLAPSE_COLS, rows,
-                         [_slope_comment(collapsed.fit, collapsed.fit_note, "collapsed_slope"),
-                          _slope_comment(nested.fit, nested.fit_note, "nested_slope")])
-    _emit(text, cfg.out)
-    if cfg.out is not None:
-        print("collapsed_" + _slope_stdout(collapsed.fit, collapsed.fit_note))
-        print("nested_" + _slope_stdout(nested.fit, nested.fit_note))
-    return 0
+    _write_report(cfg, _COLLAPSE_COLS, rows, (p.name, TauPower(1, 1).name, seed),
+                  [("collapsed_", collapsed.fit, collapsed.fit_note),
+                   ("nested_", nested.fit, nested.fit_note)])
+    return _exit_code(collapsed, nested)
 
 
 def cmd_models(cfg: RunConfig) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -192,9 +193,21 @@ def _single(terms: Callable, s: RngStream, N: int, M: int) -> np.ndarray:
         return _outer_terms(terms, s.as_batch(ws), N, M)
 
 
+@lru_cache(maxsize=8)
+def _inner_hashes(M: int) -> np.ndarray:
+    """Read-only pre-hashed inner indices 0..M-1, kept for the last few M.
+
+    Every span of a row hashes the same M indices, so a row pays for them
+    once rather than once per span.
+    """
+    h = index_hash(np.arange(M, dtype=np.uint64))
+    h.setflags(write=False)
+    return h
+
+
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
     """Nested-estimator terms f(y_n, inner mean of M draws) for _outer_terms."""
-    mhash = index_hash(np.arange(M, dtype=np.uint64))
+    mhash = _inner_hashes(M)
     outer_batch, inner_batch = p.batch_samplers()
 
     def terms(reps, idx):

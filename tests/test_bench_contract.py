@@ -1,12 +1,18 @@
-"""The benchmark's tracer (bench/tracing.py) still finds every name it wraps.
+"""The benchmark under bench/ still runs against the package.
 
-The tracer patches package attributes by name, so a refactor that unbinds
-one (say, drops an import the package itself no longer uses) breaks
-``bench/run.py --trace 1`` without failing any other test.
+The tracer (bench/tracing.py) patches package attributes by name, so a
+refactor that unbinds one (say, drops an import the package itself no
+longer uses) breaks ``bench/run.py --trace 1`` without failing any other
+test.  A change to the CLI's reports or options can likewise make every
+benchmark call fail its checks, so each workload also runs for a second.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import nestmc.estimators as estimators
 import nestmc.harness as harness
@@ -36,3 +42,22 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert _wrapped_names() == before
+
+
+def _bench(*args):
+    return subprocess.run([sys.executable, *args], cwd=Path(BENCH).parent,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_bench_selftest_passes():
+    out = _bench("bench/selftest.py")
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("workload", ["small-rows", "large-rows", "crn-race"])
+def test_bench_workload_runs_and_passes_its_checks(workload):
+    out = _bench("bench/run.py", "--workload", workload, "--seed", "1",
+                 "--seconds", "1", "--trace", "0")
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from nestmc import cli
 from nestmc.allocation import TauPower, split_budget
-from nestmc.cli import RunConfig, _cell, main
+from nestmc.cli import _cell, main
 from nestmc.models import CATALOG
 
 
@@ -183,6 +183,24 @@ def test_degenerate_rows_exit_3(capsys, monkeypatch):
     assert comments[0].startswith("# slope=none note=")
 
 
+def test_collapse_degenerate_rows_exit_3(capsys, monkeypatch):
+    # A linear integrand that is never finite flags every row of both sweeps.
+    base = CATALOG["linear-gauss"]()
+    bad = dataclasses.replace(base, name="never-finite-linear", truth=0.0,
+                              f=lambda y, w: w * float("nan"),
+                              expected_nmc_value=None)
+    monkeypatch.setitem(CATALOG, "never-finite-linear", lambda: bad)
+    code, out, _ = run_cli(capsys, ["collapse", "--model", "never-finite-linear",
+                                    "--budgets", "16,64", "--reps", "3",
+                                    "--seed", "0"])
+    assert code == 3
+    _, rows, comments = parse_csv(out)
+    assert [r[0] for r in rows] == ["collapsed", "collapsed", "nested", "nested"]
+    assert all(float(r[8]) == 1.0 for r in rows)
+    assert [c.split(" note=")[0] for c in comments] == ["# collapsed_slope=none",
+                                                        "# nested_slope=none"]
+
+
 # ------------------------------------------------------------------------ bias
 
 def test_bias_csv_with_predictions(capsys):
@@ -336,24 +354,31 @@ def test_invalid_env_seed(capsys, monkeypatch):
 
 # -------------------------------------------------------------- files and echo
 
-def test_out_file_matches_stdout_and_echoes_slope(capsys, tmp_path):
-    _, streamed, _ = run_cli(capsys, _SEED_ARGS + ["--seed", "1"])
-    path = tmp_path / "report.csv"
-    code, echoed, _ = run_cli(capsys, _SEED_ARGS + ["--seed", "1",
-                                                    "--out", str(path)])
+# Each subcommand's command line and the prefixes of the lines --out echoes.
+_OUT_CASES = {
+    "converge": (_SEED_ARGS + ["--seed", "1"], ["slope="]),
+    "bias": (["bias", "--model", "bias-quad-pos", "--N", "40", "--Ms", "2,8",
+              "--reps", "10", "--seed", "1"], ["slope="]),
+    "allocate": (["allocate", "--model", "gauss-log", "--T", "1024", "--reps", "10",
+                  "--seed", "1", "--policies", "tau:alpha=1,c=1;tau:alpha=2,c=1"], []),
+    "collapse": (["collapse", "--model", "linear-gauss", "--budgets", "100,400",
+                  "--reps", "10", "--seed", "0"], ["collapsed_slope=", "nested_slope="]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("sub", sorted(_OUT_CASES))
+def test_out_file_matches_stdout_and_echoes_slope(capsys, tmp_path, sub, fmt):
+    argv, prefixes = _OUT_CASES[sub]
+    argv = argv + ["--format", fmt]
+    _, streamed, _ = run_cli(capsys, argv)
+    path = tmp_path / f"report.{fmt}"
+    code, echoed, _ = run_cli(capsys, argv + ["--out", str(path)])
     assert code == 0
     assert path.read_text(encoding="utf-8") == streamed
-    assert echoed.startswith("slope=") and echoed.count("\n") == 1
-
-
-def test_collapse_out_echoes_both_slopes(capsys, tmp_path):
-    path = tmp_path / "c.csv"
-    _, echoed, _ = run_cli(capsys, ["collapse", "--model", "linear-gauss",
-                                    "--budgets", "100,400", "--reps", "10",
-                                    "--seed", "0", "--out", str(path)])
     lines = echoed.splitlines()
-    assert lines[0].startswith("collapsed_slope=")
-    assert lines[1].startswith("nested_slope=")
+    assert echoed.count("\n") == len(lines) == len(prefixes)
+    assert all(ln.startswith(pfx) for ln, pfx in zip(lines, prefixes))
 
 
 @pytest.mark.parametrize("argv", [
@@ -375,26 +400,7 @@ def test_worker_count_never_changes_bytes(capsys, tmp_path, argv):
     assert p1.read_bytes() == p8.read_bytes()
 
 
-# --------------------------------------------------------------------- config
-
-@pytest.mark.parametrize("argv", [
-    ["models", "list"],
-    ["models"],
-    ["converge", "--model", "gauss-log", "--budgets", "16:65536:7"],
-    ["converge", "--model", "gauss-log", "--budgets", "16,64",
-     "--policy", "fixed-inner:M=8", "--rep-schedule", "64:100",
-     "--drop-smallest", "2", "--reps", "50", "--seed", "11",
-     "--out", "x.csv", "--format", "json", "--workers", "4"],
-    ["bias", "--model", "bias-quad-neg", "--N", "100", "--Ms", "2:32:5"],
-    ["allocate", "--model", "gauss-log", "--T", "65536",
-     "--policies", "tau:alpha=0.5,c=1;tau:alpha=1,c=1"],
-    ["collapse", "--model", "linear-gauss", "--budgets", "100:10000:4",
-     "--seed", "0"],
-])
-def test_runconfig_round_trip(argv):
-    cfg = RunConfig.parse(argv)
-    assert RunConfig.parse(cfg.to_args()) == cfg
-
+# ---------------------------------------------------------------------- cells
 
 def test_cell_rendering():
     assert _cell(None) == ""
