@@ -117,7 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(k)
 
     m = sub.add_parser("models", help="list the model catalog")
-    m.add_argument("action", nargs="?", choices=["list"], default="list")
+    # No choices: argparse would test a stray flag's value against them
+    # ("invalid choice: 'report.txt'") before naming the flag as unrecognized.
+    m.add_argument("action", nargs="?", default="list", help="list (the default)")
     return ap
 
 
@@ -328,13 +330,15 @@ def cmd_collapse(cfg: RunConfig) -> int:
 
 
 def cmd_models(cfg: RunConfig) -> int:
+    if cfg.action != "list":
+        raise ValueError(f"unknown models action {cfg.action!r}; the only action is 'list'")
     lines = []
     for name in sorted(CATALOG):
         p = CATALOG[name]()
         truth = "none" if p.truth is None else f"{float(p.truth):.6f}"
         tags = MODEL_TAGS.get(name, "")
         lines.append(f"{name:16s} truth={truth:12s} tags={tags}")
-    _emit("\n".join(lines) + "\n", cfg.out)
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -10,16 +10,21 @@ taken from the root.  Draw ``j`` of a stream is a keyed hash of ``j``
 * streams can be handed to workers in any order without changing output.
 
 The generator is a SplitMix-style 64-bit mixer (Stafford variant 13)
-applied to ``key + (j+1) * GOLDEN``.  Normal draws use the Box-Muller
-transform on consecutive uniform pairs; the first output is returned and
-the second is produced on the following draw, so a pair always consumes
-exactly two uniforms.  Bit-exactness is promised within this
-implementation only, not across languages or libraries.
+applied to ``key + (j+1) * GOLDEN``.  Normal draws come in Box-Muller
+pairs from two consecutive draws: the radius from the first draw's uniform
+and a half-angle in [0, pi/4) from the top 53 bits of the second draw's raw
+word, whose bits 0 and 1 give the signs of the radius and of the
+half-angle (see :func:`_box_muller`).  The first output is returned and the
+second is produced on the following draw, so a pair always consumes exactly
+two draws.  Bit-exactness is promised within one version of this
+implementation only, not across versions, languages or libraries: versions
+before the half-angle transform took ``r cos 2 pi u2`` and ``r sin 2 pi u2``,
+so their normals, and every report built on them, differ from today's.
 
-A stream and a batch hold the same state, a counter and the (radius, angle)
-of a pending Box-Muller pair, so :meth:`StreamBatch.each` can run a scalar
-sampler on each stream of a batch and leave the batch where the sampler
-left the streams.
+A stream and a batch hold the same state, a counter and the signed
+(radius, half-angle) of a pending Box-Muller pair, so
+:meth:`StreamBatch.each` can run a scalar sampler on each stream of a batch
+and leave the batch where the sampler left the streams.
 
 A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
 into the buffers of a :class:`Workspace`, so a loop that draws block after
@@ -57,8 +62,9 @@ _U_GOLDEN = np.uint64(_GOLDEN)
 _U_MIX_A = np.uint64(_MIX_A)
 _U_MIX_B = np.uint64(_MIX_B)
 _TO_UNIT = 2.0 ** -53
-_TWO_PI = 2.0 * np.pi
-_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_TO_HALF_ANGLE = np.pi / 4 * _TO_UNIT  # top 53 bits -> [0, pi/4)
+_SIGN = np.uint64(1 << 63)
+_S11, _S27, _S30, _S31, _S62, _S63 = (np.uint64(k) for k in (11, 27, 30, 31, 62, 63))
 
 
 def _mix_int(z: int) -> int:
@@ -118,6 +124,48 @@ def _radius(u: np.ndarray) -> np.ndarray:
     return np.sqrt(u, out=u)
 
 
+def _box_muller(u: np.ndarray, w: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First normals of Box-Muller pairs into `out`; returns the pairs' (r', b').
+
+    `u` holds each pair's first uniform and `w` the raw 64-bit word of its
+    second draw.  The radius r = sqrt(-2 log(1 - u)) is negated by bit 0 of
+    `w`, giving r', and the half-angle b = (w >> 11) * pi/4 * 2**-53 in
+    [0, pi/4) by bit 1, giving b'.  As 2b' is uniform on (-pi/2, pi/2) and
+    r' is signed, the angle of (r', 2b') is uniform on the circle, so
+    r' cos 2b' = r' (2 cos^2 b' - 1), written here, and r' sin 2b' =
+    r' 2 sin b' cos b', from :func:`_sine_branch`, are independent standard
+    normals.  Cosines and sines are taken on [0, pi/4) only, the range on
+    which libm's are cheapest.  `u` becomes r' and `w` becomes b' in place;
+    `out` (float64, of their shape) is also the scratch for the sign bits.
+    """
+    r = _radius(u)
+    signs = out.view(np.uint64)
+    np.left_shift(w, _S63, out=signs)
+    r_bits = r.view(np.uint64)
+    r_bits ^= signs
+    np.left_shift(w, _S62, out=signs)
+    signs &= _SIGN
+    w >>= _S11
+    b = np.multiply(w, _TO_HALF_ANGLE, out=w.view(np.float64))
+    b_bits = b.view(np.uint64)
+    b_bits ^= signs
+    np.cos(b, out=out)
+    out *= out
+    out *= 2.0
+    out -= 1.0
+    out *= r
+    return r, b
+
+
+def _sine_branch(r: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Second normals r' 2 sin b' cos b' of pairs from `_box_muller` into `out`; b' becomes cos b'."""
+    np.sin(b, out=out)
+    out *= r
+    out *= 2.0
+    out *= np.cos(b, out=b)
+    return out
+
+
 # References a pooled buffer has from the pool's own list, the scan's loop
 # variable and sys.getrefcount's argument: with no more, no array views it.
 def _idle_refs() -> int:
@@ -171,9 +219,9 @@ class Workspace:
 class RngStream:
     """One reproducible random stream, identified by (root_seed, path).
 
-    The stream holds a draw counter and the (radius, angle) of a pending
-    Box-Muller pair, as one-element arrays, whose sine branch is its next
-    normal; ``split`` is pure and never advances the parent.
+    The stream holds a draw counter and the signed (radius, half-angle) of
+    a pending Box-Muller pair, as one-element arrays, whose sine branch is
+    its next normal; ``split`` is pure and never advances the parent.
     """
 
     __slots__ = ("root_seed", "path", "_key", "_counter", "_pending")
@@ -217,21 +265,20 @@ class RngStream:
         out = np.empty(n)
         k = 0
         if self._pending is not None and n > 0:
-            r, t = self._pending
-            np.multiply(np.sin(t), r, out=out[:1])
-            self._pending = None
+            (r, b), self._pending = self._pending, None
+            # A copy, as b may view a batch's pending pair (StreamBatch.each).
+            _sine_branch(r, b.copy(), out[:1])
             k = 1
         pairs = (n - k + 1) // 2
         if pairs > 0:
-            u = self.uniforms(2 * pairs)
-            r, t = _radius(u[0::2]), u[1::2] * _TWO_PI
-            inter = np.empty((pairs, 2))
-            np.multiply(np.cos(t), r, out=inter[:, 0])
-            np.multiply(np.sin(t), r, out=inter[:, 1])
-            take = n - k
-            out[k:] = inter.reshape(-1)[:take]
-            if take < 2 * pairs:
-                self._pending = (r[-1:], t[-1:])
+            bits = _raw_block(self._key, self._counter, 2 * pairs).reshape(pairs, 2).T.copy()
+            self._counter += 2 * pairs
+            normals = np.empty((2, pairs))
+            r, b = _box_muller(_to_unit(bits[0], np.empty(pairs)), bits[1], normals[0])
+            if n - k < 2 * pairs:
+                self._pending = (r[-1:].copy(), b[-1:].copy())
+            _sine_branch(r, b, normals[1])
+            out[k:] = normals.T.ravel()[:n - k]
         return out
 
     def next_uniform(self) -> float:
@@ -261,7 +308,7 @@ class StreamBatch:
         self.keys = keys
         self.workspace = Workspace(keys.size) if workspace is None else workspace
         self._counter = 0
-        # (radius, angle) of the Box-Muller pair whose sine branch is next.
+        # (r', b') of the Box-Muller pair whose sine branch is next.
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -291,27 +338,26 @@ class StreamBatch:
         """Like split_many on a 1-D index set pre-hashed by `index_hash`."""
         return self._child(self.keys[..., None], hashed, self.shape + hashed.shape)
 
-    def uniforms(self) -> np.ndarray:
-        """One uniform in [0, 1) from each stream."""
+    def _bits(self) -> np.ndarray:
+        """The raw 64-bit word of each stream's next draw."""
         ws = self.workspace
         step = np.uint64(((self._counter + 1) * _GOLDEN) & _MASK64)
-        bits = ws.mix(np.add(self.keys, step, out=ws.take(self.shape)))
         self._counter += 1
-        return _to_unit(bits, ws.take(self.shape, np.float64))
+        return ws.mix(np.add(self.keys, step, out=ws.take(self.shape)))
+
+    def uniforms(self) -> np.ndarray:
+        """One uniform in [0, 1) from each stream."""
+        return _to_unit(self._bits(), self.workspace.take(self.shape, np.float64))
 
     def gaussians(self) -> np.ndarray:
         """One standard normal from each stream."""
         if self._pending is None:
-            r = _radius(self.uniforms())
-            t = self.uniforms()
-            t *= _TWO_PI
-            self._pending = (r, t)
-            trig = np.cos
+            u, w = self.uniforms(), self._bits()
+            out = self.workspace.take(self.shape, np.float64)
+            self._pending = _box_muller(u, w, out)
         else:
-            (r, t), self._pending = self._pending, None
-            trig = np.sin
-        out = trig(t, out=self.workspace.take(self.shape, np.float64))
-        out *= r
+            (r, b), self._pending = self._pending, None
+            out = _sine_branch(r, b, self.workspace.take(self.shape, np.float64))
         return out
 
     def each(self, draw: Callable, *args) -> np.ndarray:

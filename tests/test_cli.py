@@ -61,6 +61,19 @@ def test_models_action_defaults_to_list(capsys):
     assert (code_default, out_default) == (code_explicit, out_explicit)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["models", "--out", "report.txt"], "unrecognized arguments: --out"),
+    (["models", "list", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    (["models", "all"], "error: unknown models action 'all'"),
+])
+def test_models_faults_name_the_bad_argument(capsys, tmp_path, monkeypatch, argv, message):
+    # models takes none of the report subcommands' common flags.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == "" and message in err
+    assert "invalid choice" not in err and not (tmp_path / "report.txt").exists()
+
+
 # -------------------------------------------------------------------- converge
 
 def test_converge_csv_layout(capsys):

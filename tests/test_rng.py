@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestmc.rng import RngStream, Workspace, make_root, next_gaussian, next_uniform, split
+from nestmc.rng import (RngStream, Workspace, _raw_block, index_hash, make_root, next_gaussian,
+                        next_uniform, split)
 
 
 def _uniforms(stream, n):
@@ -91,6 +92,57 @@ def test_gaussian_pairs_mix_both_transform_branches():
     g = make_root(5).gaussians(10**5)
     corr = np.corrcoef(g[:-1], g[1:])[0, 1]
     assert abs(corr) < 0.02
+
+
+_STREAM_CHANGE = ("a change to the streams must be declared as a stream change and the "
+                  "files under tests/golden/ regenerated (python tests/test_golden.py)")
+
+
+def test_stream_fingerprint():
+    # Keys, raw words and uniforms predate the half-angle Box-Muller
+    # transform and must not move with it; the normals pin that transform.
+    root = make_root(2024)
+    child = root.split(7).split(2**64 - 1)
+    many = root.split_many(np.array([0, 5, 2**63], dtype=np.uint64))
+    grand = many.split_hashed(index_hash(np.arange(2)))
+    keys = [root._key, child._key, *many.keys.tolist(), *grand.keys.ravel().tolist()]
+    assert keys == [
+        0x6c533da8c3f3841e, 0x45d477af2dc6905c, 0x4a1a87d7c342dd54, 0x6f2eb64e49bd857c,
+        0x9c0c76cdc363fb8c, 0xdb0adddade5441d0, 0x63bac01912577881, 0xd39cb47872e8f383,
+        0xb484fa11bd1c7b9d, 0xca7b2cff389d10b6, 0xa025c440cd833765], _STREAM_CHANGE
+    assert _raw_block(root._key, 0, 2).tolist() == [
+        0xdcfd0164a1a68267, 0xea73482f7b5a5fcc], _STREAM_CHANGE
+    uniforms = [root.next_uniform(), child.next_uniform(), *many.uniforms().tolist(),
+                *grand.uniforms().ravel().tolist()]
+    assert [float.hex(u) for u in uniforms] == [
+        "0x1.b9fa02c9434d0p-1", "0x1.e40e80a083d82p-1", "0x1.019eb9dd58868p-2",
+        "0x1.ccc09c73bbb74p-1", "0x1.63deec883ba4bp-1", "0x1.673a00bb1059cp-2",
+        "0x1.ab05d683023c8p-1", "0x1.ab0550a9844e4p-2", "0x1.14b22bb192a67p-1",
+        "0x1.fc8c85ac02af9p-1", "0x1.96093709a81c4p-1"], _STREAM_CHANGE
+    normals = [make_root(1).gaussians(4), make_root(1).split(3).gaussians(4)]
+    assert [[float.hex(g) for g in n] for n in normals] == [
+        ["0x1.b3c19836bb735p+0", "-0x1.2e8ea6b7c4f58p+0",
+         "-0x1.a3f818336b7dbp+0", "0x1.21e321c26379bp-1"],
+        ["0x1.d59fb7b071141p-3", "-0x1.3ff3c0e2bad84p-1",
+         "0x1.cedb9ae46c8ddp-1", "0x1.717fb6f08fd49p-6"]], _STREAM_CHANGE
+
+
+def test_box_muller_pair_is_two_independent_normals():
+    # Both normals of 2**18 streams.  The signs come from bits 0 and 1 of a
+    # raw word and the angle from its top bits; a sign shared between the
+    # two outputs, or tied to the angle, shows in the quadrant counts or the
+    # correlations.  Tolerances are ~5 standard errors at this n.
+    n = 1 << 18
+    batch = make_root(2026).split_many(np.arange(n, dtype=np.uint64))
+    x, y = batch.gaussians(), batch.gaussians()
+    for g in (x, y):
+        assert abs(g.mean()) < 0.01
+        assert abs(g.var() - 1.0) < 0.014
+        assert abs(np.mean(g > 0) - 0.5) < 0.005
+    quadrants = np.bincount(2 * (x > 0) + (y > 0), minlength=4) / n
+    np.testing.assert_allclose(quadrants, 0.25, atol=0.0045)
+    assert abs(np.corrcoef(x, y)[0, 1]) < 0.01
+    assert abs(np.corrcoef(x * x, y * y)[0, 1]) < 0.01
 
 
 def test_scalar_draws_match_block_draws():
