@@ -17,7 +17,7 @@ from .harness import (SlopeFit, ConvergenceRow, ConvergenceReport, BiasRow,
                       BiasReport, PolicyResult, PolicyRanking, fit_loglog_slope,
                       run_convergence, run_collapsed_convergence, run_bias,
                       run_fixed_inner, compare_policies)
-from .cli import RunConfig, main
+from .cli import main
 
 __all__ = [
     "__version__",
@@ -36,5 +36,5 @@ __all__ = [
     "PolicyResult", "PolicyRanking", "fit_loglog_slope",
     "run_convergence", "run_collapsed_convergence", "run_bias",
     "run_fixed_inner", "compare_policies",
-    "RunConfig", "main",
+    "main",
 ]

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -29,8 +28,8 @@ from .models import CATALOG, MODEL_TAGS
 from .problem import NestedProblem
 from .rng import make_root
 
-__all__ = ["RunConfig", "main", "cmd_converge", "cmd_bias", "cmd_allocate",
-           "cmd_collapse", "cmd_models"]
+__all__ = ["main", "cmd_converge", "cmd_bias", "cmd_allocate", "cmd_collapse",
+           "cmd_models"]
 
 _CONVERGE_COLS = ["T", "N", "M", "reps", "mean", "mse", "mse_se", "degenerate_frac"]
 _BIAS_COLS = ["M", "N", "reps", "mean_error", "se", "predicted"]
@@ -38,42 +37,25 @@ _ALLOCATE_COLS = ["policy", "N", "M", "mse", "mse_se", "rank"]
 _COLLAPSE_COLS = ["estimator"] + _CONVERGE_COLS
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed command line; field values keep their flag spellings."""
-
-    sub: str
-    action: Optional[str] = None
-    model: Optional[str] = None
-    policy: Optional[str] = None
-    policies: Optional[str] = None
-    budgets: Optional[str] = None
-    Ms: Optional[str] = None
-    N: Optional[int] = None
-    T: Optional[int] = None
-    reps: int = 1000
-    seed: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
-    drop_smallest: int = 0
-    rep_schedule: Optional[str] = None
-    workers: int = 1
-
-    @classmethod
-    def parse(cls, argv: Optional[Sequence[str]] = None) -> "RunConfig":
-        ns = _build_parser().parse_args(argv)
-        kwargs = {}
-        for f in dataclasses.fields(cls):
-            if hasattr(ns, f.name):
-                kwargs[f.name] = getattr(ns, f.name)
-        return cls(**kwargs)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="nestmc",
         description="Nested Monte Carlo experiments: convergence, bias, allocation.")
     sub = ap.add_subparsers(dest="sub", required=True)
+
+    def report(name, run, help):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
+        sp.add_argument("--model", required=True)
+        return sp
+
+    def sweep(sp):
+        sp.add_argument("--budgets", required=True,
+                        help="lo:hi:points (geometric) or comma list")
+        sp.add_argument("--drop-smallest", type=int, default=0,
+                        help="exclude this many smallest budgets from the slope fit")
+        sp.add_argument("--rep-schedule", default=None,
+                        help="per-budget replication overrides, e.g. 65536:200,262144:100")
 
     def common(sp):
         sp.add_argument("--reps", type=int, default=1000, help="replications per row")
@@ -85,45 +67,36 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker threads, at most one per core; "
                              "output is identical for any value")
 
-    c = sub.add_parser("converge", help="MSE vs total budget under one policy")
-    c.add_argument("--model", required=True)
+    c = report("converge", cmd_converge, "MSE vs total budget under one policy")
     c.add_argument("--policy", default="tau:alpha=1,c=1",
                    help="tau:alpha=A,c=C | fixed-inner:M=K | fixed-outer:N=K")
-    c.add_argument("--budgets", required=True,
-                   help="lo:hi:points (geometric) or comma list")
-    c.add_argument("--drop-smallest", dest="drop_smallest", type=int, default=0,
-                   help="exclude this many smallest budgets from the slope fit")
-    c.add_argument("--rep-schedule", dest="rep_schedule", default=None,
-                   help="per-budget replication overrides, e.g. 65536:200,262144:100")
+    sweep(c)
     common(c)
 
-    b = sub.add_parser("bias", help="mean error vs inner count at fixed N")
-    b.add_argument("--model", required=True)
+    b = report("bias", cmd_bias, "mean error vs inner count at fixed N")
     b.add_argument("--N", type=int, required=True)
     b.add_argument("--Ms", required=True, help="lo:hi:points or comma list")
     common(b)
 
-    a = sub.add_parser("allocate", help="rank policies at one budget (CRN)")
-    a.add_argument("--model", required=True)
+    a = report("allocate", cmd_allocate, "rank policies at one budget (CRN)")
     a.add_argument("--T", type=int, required=True)
     a.add_argument("--policies", required=True, help="semicolon-separated policy specs")
     common(a)
 
-    k = sub.add_parser("collapse", help="nested vs collapsed estimator on a linear model")
-    k.add_argument("--model", required=True)
-    k.add_argument("--budgets", required=True, help="lo:hi:points or comma list")
-    k.add_argument("--drop-smallest", dest="drop_smallest", type=int, default=0)
-    k.add_argument("--rep-schedule", dest="rep_schedule", default=None)
+    k = report("collapse", cmd_collapse, "nested vs collapsed estimator on a linear model")
+    sweep(k)
     common(k)
 
     m = sub.add_parser("models", help="list the model catalog")
+    # models takes none of the common flags; these defaults only satisfy _check_run.
+    m.set_defaults(run=cmd_models, out=None, workers=1)
     # No choices: argparse would test a stray flag's value against them
     # ("invalid choice: 'report.txt'") before naming the flag as unrecognized.
     m.add_argument("action", nargs="?", default="list", help="list (the default)")
     return ap
 
 
-def _resolve_seed(cfg: RunConfig) -> int:
+def _resolve_seed(cfg: argparse.Namespace) -> int:
     if cfg.seed is not None:
         return cfg.seed
     env = os.environ.get("NESTMC_SEED")
@@ -135,14 +108,14 @@ def _resolve_seed(cfg: RunConfig) -> int:
     return 0
 
 
-def _get_model(name: Optional[str]) -> NestedProblem:
+def _get_model(name: str) -> NestedProblem:
     if name not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise ValueError(f"unknown model {name!r}; known models: {known}")
     return CATALOG[name]()
 
 
-def _parse_grid(spec: Optional[str]) -> List[int]:
+def _parse_grid(spec: str) -> List[int]:
     if not spec:
         raise ValueError("empty grid")
     parts = spec.split(":")
@@ -183,7 +156,7 @@ def _jnum(v):
     return v
 
 
-def _check_run(cfg: RunConfig) -> None:
+def _check_run(cfg: argparse.Namespace) -> None:
     """Faults in --workers and --out, caught before any computation."""
     if cfg.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {cfg.workers}")
@@ -209,7 +182,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 _Fit = Tuple[str, Optional[SlopeFit], str]
 
 
-def _write_report(cfg: RunConfig, columns: Sequence[str], rows: Sequence[Sequence],
+def _write_report(cfg: argparse.Namespace, columns: Sequence[str], rows: Sequence[Sequence],
                   meta: Tuple[str, Optional[str], int], fits: Sequence[_Fit] = (),
                   tie: Optional[bool] = None) -> None:
     """Write one report in cfg.fmt to cfg.out or stdout.
@@ -261,9 +234,9 @@ def _converge_rows(report: ConvergenceReport) -> List[list]:
             for r in report.rows]
 
 
-def cmd_converge(cfg: RunConfig) -> int:
+def cmd_converge(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
-    policy = parse_policy(cfg.policy or "")
+    policy = parse_policy(cfg.policy)
     seed = _resolve_seed(cfg)
     report = run_convergence(p, policy, _parse_grid(cfg.budgets), cfg.reps,
                              make_root(seed), rep_schedule=_parse_schedule(cfg.rep_schedule),
@@ -273,11 +246,9 @@ def cmd_converge(cfg: RunConfig) -> int:
     return _exit_code(report)
 
 
-def cmd_bias(cfg: RunConfig) -> int:
+def cmd_bias(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
     seed = _resolve_seed(cfg)
-    if cfg.N is None:
-        raise ValueError("bias needs --N")
     report = run_bias(p, cfg.N, _parse_grid(cfg.Ms), cfg.reps, make_root(seed),
                       workers=cfg.workers)
     rows = [[r.M, r.N, r.reps, r.mean_error, r.se, r.predicted] for r in report.rows]
@@ -286,15 +257,13 @@ def cmd_bias(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_allocate(cfg: RunConfig) -> int:
+def cmd_allocate(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
     seed = _resolve_seed(cfg)
-    specs = [x for x in (cfg.policies or "").split(";") if x.strip()]
+    specs = [x for x in cfg.policies.split(";") if x.strip()]
     if not specs:
         raise ValueError("allocate needs at least one policy in --policies")
     policies = [parse_policy(x.strip()) for x in specs]
-    if cfg.T is None:
-        raise ValueError("allocate needs --T")
     ranking = compare_policies(p, cfg.T, policies, cfg.reps, make_root(seed),
                                workers=cfg.workers)
     rows = [[r.policy.name, r.N, r.M, r.mse, r.mse_se, r.rank] for r in ranking.results]
@@ -304,11 +273,8 @@ def cmd_allocate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_collapse(cfg: RunConfig) -> int:
+def cmd_collapse(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
-    if p.linear_g is None:
-        raise ValueError(f"model {p.name!r} has no linear integrand decomposition; "
-                         "the collapsed estimator does not apply")
     seed = _resolve_seed(cfg)
     root = make_root(seed)
     budgets = _parse_grid(cfg.budgets)
@@ -329,7 +295,7 @@ def cmd_collapse(cfg: RunConfig) -> int:
     return _exit_code(collapsed, nested)
 
 
-def cmd_models(cfg: RunConfig) -> int:
+def cmd_models(cfg: argparse.Namespace) -> int:
     if cfg.action != "list":
         raise ValueError(f"unknown models action {cfg.action!r}; the only action is 'list'")
     lines = []
@@ -342,28 +308,15 @@ def cmd_models(cfg: RunConfig) -> int:
     return 0
 
 
-_DISPATCH = {
-    "converge": cmd_converge,
-    "bias": cmd_bias,
-    "allocate": cmd_allocate,
-    "collapse": cmd_collapse,
-    "models": cmd_models,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        cfg = RunConfig.parse(argv)
+        cfg = _build_parser().parse_args(argv)
     except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 2
+        return e.code if isinstance(e.code, int) else 2
     try:
         _check_run(cfg)
-        return _DISPATCH[cfg.sub](cfg)
-    except ValueError as err:
+        return cfg.run(cfg)
+    except (ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

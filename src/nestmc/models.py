@@ -76,20 +76,18 @@ def gamma_kernel_exact(y):
 _KERNEL_QUAD = GaussianInner(mean=lambda y: 0.0, sd=lambda y: 1.0)
 
 
+def _kernel_model(name: str, f: Callable, truth: float, **overrides) -> NestedProblem:
+    """A model on the shared skeleton; `overrides` replace or add fields."""
+    skeleton = dict(outer_sampler=_outer_uniform, inner_sampler=_inner_normal,
+                    outer_batch=_outer_uniform_batch, inner_batch=_inner_normal_batch,
+                    phi=_phi_kernel, gamma_exact=gamma_kernel_exact,
+                    inner_quad=_KERNEL_QUAD)
+    return NestedProblem(name=name, f=f, truth=truth, **{**skeleton, **overrides})
+
+
 def make_gauss_log() -> NestedProblem:
     """Log-of-mean benchmark: f(y,w) = log(w), truth known in closed form."""
-    return NestedProblem(
-        outer_sampler=_outer_uniform,
-        inner_sampler=_inner_normal,
-        phi=_phi_kernel,
-        f=lambda y, w: np.log(w),
-        gamma_exact=gamma_kernel_exact,
-        truth=_C.GAUSS_LOG_TRUTH,
-        name="gauss-log",
-        inner_quad=_KERNEL_QUAD,
-        outer_batch=_outer_uniform_batch,
-        inner_batch=_inner_normal_batch,
-    )
+    return _kernel_model("gauss-log", lambda y, w: np.log(w), _C.GAUSS_LOG_TRUTH)
 
 
 def bias_quadratic_expected_value(M: int, sign: int = 1) -> float:
@@ -120,53 +118,22 @@ def make_bias_quadratic(sign: int) -> NestedProblem:
         d = gamma_kernel_exact(y) - w
         return sign * d * d
 
-    return NestedProblem(
-        outer_sampler=_outer_uniform,
-        inner_sampler=_inner_normal,
-        phi=_phi_kernel,
-        f=f,
-        gamma_exact=gamma_kernel_exact,
-        truth=0.0,
-        name="bias-quad-pos" if sign == 1 else "bias-quad-neg",
-        inner_quad=_KERNEL_QUAD,
-        outer_batch=_outer_uniform_batch,
-        inner_batch=_inner_normal_batch,
-        expected_nmc_value=lambda M: bias_quadratic_expected_value(M, sign),
-    )
+    return _kernel_model("bias-quad-pos" if sign == 1 else "bias-quad-neg", f, 0.0,
+                         expected_nmc_value=lambda M: bias_quadratic_expected_value(M, sign))
 
 
 def make_linear_gauss() -> NestedProblem:
     """Linear model: f(y,w) = (1+y^2)*w, collapsible to a single expectation."""
-    return NestedProblem(
-        outer_sampler=_outer_uniform,
-        inner_sampler=_inner_normal,
-        phi=_phi_kernel,
-        f=lambda y, w: (1.0 + y * y) * w,
-        gamma_exact=gamma_kernel_exact,
-        truth=_C.LINEAR_GAUSS_TRUTH,
-        linear_g=lambda y: 1.0 + y * y,
-        name="linear-gauss",
-        inner_quad=_KERNEL_QUAD,
-        outer_batch=_outer_uniform_batch,
-        inner_batch=_inner_normal_batch,
-    )
+    return _kernel_model("linear-gauss", lambda y, w: (1.0 + y * y) * w,
+                         _C.LINEAR_GAUSS_TRUTH, linear_g=lambda y: 1.0 + y * y)
 
 
 def make_constant(c: float = 1.0) -> NestedProblem:
     """Constant model: phi = c everywhere, f(y,w) = w, truth = c exactly."""
-    return NestedProblem(
-        outer_sampler=_outer_uniform,
-        inner_sampler=_inner_normal,
-        phi=lambda y, z: np.asarray(z, dtype=float) * 0.0 + c,
-        f=lambda y, w: w,
-        gamma_exact=lambda y: np.asarray(y, dtype=float) * 0.0 + c,
-        truth=float(c),
-        linear_g=lambda y: np.asarray(y, dtype=float) * 0.0 + 1.0,
-        name="constant",
-        inner_quad=_KERNEL_QUAD,
-        outer_batch=_outer_uniform_batch,
-        inner_batch=_inner_normal_batch,
-    )
+    return _kernel_model("constant", lambda y, w: w, float(c),
+                         phi=lambda y, z: np.asarray(z, dtype=float) * 0.0 + c,
+                         gamma_exact=lambda y: np.asarray(y, dtype=float) * 0.0 + c,
+                         linear_g=lambda y: np.asarray(y, dtype=float) * 0.0 + 1.0)
 
 
 CATALOG: Dict[str, Callable[[], NestedProblem]] = {

@@ -128,6 +128,9 @@ def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.startswith("error:")
+    if argv[0] == "collapse":
+        # The estimator states the collapse rule once, before any draw.
+        assert err.count("\n") == 1 and "linear_g" in err
 
 
 def test_overflowing_tau_policy_splits_one_by_one(capsys):
@@ -171,10 +174,29 @@ def test_unwritable_out_exits_2(capsys, tmp_path):
     ["bias", "--model", "gauss-log", "--Ms", "2"],  # missing --N
     ["frobnicate"],
     [],
+    ["allocate", "--model", "gauss-log", "--policies", "tau:alpha=1,c=1"],  # missing --T
+    ["allocate", "--model", "gauss-log", "--T", "64"],  # missing --policies
+    ["bias", "--model", "gauss-log", "--N", "4"],  # missing --Ms
+    ["collapse", "--budgets", "16,64"],  # missing --model
+    ["models", "--workers", "2"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
-    assert main(argv) == 2
-    capsys.readouterr()
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2 and "Traceback" not in err
+
+
+def _option_help(text, flag):
+    """The help block of one option in argparse's --help output."""
+    return text.split("\n  " + flag, 1)[1].split("\n  -", 1)[0]
+
+
+def test_sweep_flags_share_help(capsys):
+    _, converge, _ = run_cli(capsys, ["converge", "--help"])
+    _, collapse, _ = run_cli(capsys, ["collapse", "--help"])
+    for flag in ("--budgets", "--drop-smallest", "--rep-schedule"):
+        assert _option_help(collapse, flag) == _option_help(converge, flag)
+    assert "slope fit" in _option_help(collapse, "--drop-smallest")
+    assert "overrides" in _option_help(collapse, "--rep-schedule")
 
 
 def test_degenerate_rows_exit_3(capsys, monkeypatch):
@@ -475,14 +497,45 @@ def test_main_never_raises(argv):
     assert code in (0, 2, 3), argv
 
 
-def test_cli_import_does_not_load_scipy_special():
-    # scipy.special serves the quadrature oracle only; a fresh interpreter
-    # that imports the CLI and builds a model must not pay for it.
+def _python(args, **kwargs):
+    """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # scipy.special serves the quadrature oracle only; a fresh interpreter
+    # that imports the CLI and builds a model must not pay for it.
     code = ("import sys, nestmc.cli; from nestmc.models import CATALOG; "
             "CATALOG['gauss-log'](); print('scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
+    out = _python(["-c", code], check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_python_m_nestmc():
+    out = _python(["-m", "nestmc", "models"])
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.startswith("bias-quad-neg ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budgets", "16,64", "--reps", "1000000000000"],
+    ["--budgets", "16,64", "--reps", "1000000000000", "--workers", "2"],
+    ["--budgets", "16:1024:1000000000000"],
+])
+def test_unallocatable_request_exits_2(argv):
+    # A 4 GiB address-space cap on the child alone makes the multi-TiB
+    # allocation fail the same way under any overcommit setting.
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    out = _python(["-m", "nestmc", "converge", "--model", "gauss-log"] + argv,
+                  preexec_fn=cap)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+    assert "Traceback" not in out.stderr
