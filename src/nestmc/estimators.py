@@ -8,9 +8,9 @@ makes results independent of evaluation order and worker count.
 One block driver (``_replicate`` over ``_outer_terms``) draws every plain,
 nested and collapsed estimate, for one replication or a span of a row's.
 Its blocks depend on (N, M) alone, and every mean runs over a contiguous
-last axis, so block grouping never changes a value.  Each span draws into
-one block-sized ``Workspace`` taken from an idle list, so the blocks of a
-span, and the spans after it, reuse the same buffers.  Samplers come from
+last axis, so block grouping never changes a value.  Every batch draws
+into its thread's block-sized ``Workspace``, so the blocks of a span, and
+the spans after it, reuse the same buffers.  Samplers come from
 ``NestedProblem.batch_samplers``: a model without batch samplers has its
 scalar ones run stream by stream under the same blocks, with the same
 values bit for bit.  ``nmc_estimate_depth`` is the scalar reference.
@@ -19,7 +19,6 @@ values bit for bit.  ``nmc_estimate_depth`` is the scalar reference.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -27,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .problem import NestedProblem, ProblemTree
-from .rng import RngStream, Workspace, index_hash, split
+from .rng import BUFFER_SIZE, RngStream, index_hash, split
 
 __all__ = [
     "Estimate",
@@ -39,35 +38,16 @@ __all__ = [
     "collapsed_replications",
 ]
 
-# Max elements per sampling block and max inner draws per pairwise mean,
-# sized to stay cache-resident (the draw pipeline makes many passes over
-# each block).  Block edges depend only on (N, M), never on worker count,
-# so blocking cannot affect determinism.
-_CHUNK = 1 << 16
+# Max elements per sampling block and max inner draws per pairwise mean:
+# one workspace buffer, sized to stay cache-resident (the draw pipeline
+# makes many passes over each block).  Block edges depend only on (N, M),
+# never on worker count, so blocking cannot affect determinism.
+_CHUNK = BUFFER_SIZE
 
 # Max elements per replication block: rows of N*M <= _REP_BLOCK draw
 # _REP_BLOCK // (N*M) replications at a time.  Smaller than _CHUNK to keep
 # peak memory low.
 _REP_BLOCK = 1 << 14
-
-# Idle workspaces of _CHUNK elements.  A span of the block driver takes one
-# and gives it back, so its buffers are faulted in once per process rather
-# than once per block.  A list rather than a threading.local, because the
-# harness makes a new thread pool per row; list.pop and append are atomic.
-_IDLE_WORKSPACES: list = []
-
-
-@contextmanager
-def _workspace():
-    try:
-        ws = _IDLE_WORKSPACES.pop()
-    except IndexError:
-        ws = Workspace(_CHUNK)
-    try:
-        yield ws
-    finally:
-        _IDLE_WORKSPACES.append(ws)
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -178,19 +158,17 @@ def _replicate(terms: Callable, N: int, M: int, row: RngStream, lo: int, hi: int
     step = max(1, _REP_BLOCK // (N * M))
     values = np.empty(hi - lo)
     degenerate = np.empty(hi - lo)
-    with _workspace() as ws:
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            reps = row.split_many(np.arange(a, b, dtype=np.uint64), ws)
-            values[a - lo:b - lo], degenerate[a - lo:b - lo] = _finalize(
-                _outer_terms(terms, reps, N, M))
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        reps = row.split_many(np.arange(a, b, dtype=np.uint64))
+        values[a - lo:b - lo], degenerate[a - lo:b - lo] = _finalize(
+            _outer_terms(terms, reps, N, M))
     return values, degenerate / N
 
 
 def _single(terms: Callable, s: RngStream, N: int, M: int) -> np.ndarray:
     """The N outer terms of the one replication on stream `s`."""
-    with _workspace() as ws:
-        return _outer_terms(terms, s.as_batch(ws), N, M)
+    return _outer_terms(terms, s.as_batch(), N, M)
 
 
 @lru_cache(maxsize=8)

@@ -4,9 +4,11 @@ Every runner follows the same pattern: a grid of configurations, R
 independent replications per grid row on streams derived from
 ``split(split(s, row_index), rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
-bit-identical across runs and worker counts.  Every row is evaluated a
-block of replications at a time (``nmc_replications``,
-``collapsed_replications``), whatever the model's samplers.
+bit-identical across runs and worker counts.  A run hands the
+replications of all its rows to one scheduler call (``_fill_replications``),
+and every row is evaluated a block of replications at a time
+(``nmc_replications``, ``collapsed_replications``), whatever the model's
+samplers.
 """
 
 from __future__ import annotations
@@ -150,55 +152,52 @@ def _require_truth(p: NestedProblem) -> float:
 _SpanFn = Callable[[RngStream, int, int], tuple]
 
 
-def _fill_replications(span_fns: Sequence[_SpanFn], row_stream: RngStream, R: int,
-                       workers: int) -> tuple:
-    """Run R independent replications of each span function, assembled by index.
+def _fill_replications(jobs: Sequence[Tuple[_SpanFn, RngStream, int]], workers: int) -> list:
+    """(values, degenerate_fracs) of R replications of each job (span, row_stream, R).
 
-    Returns (values, degenerate_fracs), both of shape (len(span_fns), R).
-    Replication r of every span function uses the stream row_stream.split(r).
-    Spans only affect scheduling; values land at [j, r] regardless, so
-    output is identical for any worker count.  The pool never has more
-    threads than the machine has cores.
+    Replication r of a job uses the stream row_stream.split(r).  Every
+    job's replications are cut into spans and run on one thread pool, or
+    in order on this thread at one worker.  Spans only affect scheduling;
+    values land at [r] regardless, so output is identical for any worker
+    count.  The pool never has more threads than the machine has cores.
     """
-    vals = np.empty((len(span_fns), R), dtype=np.float64)
-    degf = np.empty((len(span_fns), R), dtype=np.float64)
-
-    def fill(span):
-        lo, hi = span
-        for j, span_fn in enumerate(span_fns):
-            vals[j, lo:hi], degf[j, lo:hi] = span_fn(row_stream, lo, hi)
-
     workers = min(workers, os.cpu_count() or 1)
+    out, tasks = [], []
+    for span, row, R in jobs:
+        vals, degf = np.empty(R), np.empty(R)
+        out.append((vals, degf))
+        step = R if workers <= 1 else max(1, math.ceil(R / (workers * 4)))
+        tasks += [(span, row, lo, min(lo + step, R), vals, degf) for lo in range(0, R, step)]
+
+    def fill(task):
+        span, row, lo, hi, vals, degf = task
+        vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
+
     if workers <= 1:
-        fill((0, R))
+        list(map(fill, tasks))
     else:
-        step = max(1, math.ceil(R / (workers * 4)))
-        spans = [(lo, min(lo + step, R)) for lo in range(0, R, step)]
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(fill, spans))
-    return vals, degf
+            list(ex.map(fill, tasks))
+    return out
 
 
 def _row_statistics(vals: np.ndarray, degf: np.ndarray, truth: float) -> tuple:
-    ok = np.isfinite(vals)
-    used = vals[ok]
+    """(mean, se, mse, mse_se, degenerate_frac) over a row's finite replications.
+
+    se is the standard error of the mean and mse_se that of the MSE; both
+    are NaN below two finite replications, and every field but the
+    degenerate fraction is NaN with none.
+    """
+    used = vals[np.isfinite(vals)]
     degenerate_frac = float(np.mean(degf))
     if used.size == 0:
-        return math.nan, math.nan, math.nan, degenerate_frac
-    mean = float(np.mean(used))
+        return math.nan, math.nan, math.nan, math.nan, degenerate_frac
     sq = (used - truth) ** 2
-    mse = float(np.mean(sq))
+    se = mse_se = math.nan
     if used.size >= 2:
+        se = float(np.sqrt(np.var(used, ddof=1) / used.size))
         mse_se = float(np.sqrt(np.var(sq, ddof=1) / used.size))
-    else:
-        mse_se = math.nan
-    return mean, mse, mse_se, degenerate_frac
-
-
-def _reps_for(T: int, R: int, rep_schedule: Optional[Mapping[int, int]]) -> int:
-    if rep_schedule and T in rep_schedule:
-        return int(rep_schedule[T])
-    return R
+    return float(np.mean(used)), se, float(np.mean(sq)), mse_se, degenerate_frac
 
 
 def _check_reps(R: int, rep_schedule: Optional[Mapping[int, int]]) -> None:
@@ -210,36 +209,48 @@ def _check_reps(R: int, rep_schedule: Optional[Mapping[int, int]]) -> None:
                 raise ValueError(f"rep schedule for T={T} must be >= 2, got {r}")
 
 
-def _fit_rows(rows: Sequence[ConvergenceRow], drop_smallest: int,
-              x_of: Callable[[ConvergenceRow], float]) -> tuple:
-    if drop_smallest < 0:
-        raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
-    candidates = [r for r in rows[drop_smallest:] if not r.flagged]
-    if len(candidates) < 2:
-        return None, "fewer than 2 usable rows for the slope fit"
-    if any(not (r.mse > 0) for r in candidates):
-        return None, "degenerate: zero MSE"
-    fit = fit_loglog_slope([(x_of(r), r.mse) for r in candidates])
-    return fit, ""
+def _sweep(p: NestedProblem, splits: Sequence[Tuple[int, int, int]], R: int, s: RngStream,
+           span_for: Callable[[int, int], _SpanFn],
+           rep_schedule: Optional[Mapping[int, int]], workers: int) -> list:
+    """(reps, *_row_statistics) of each row (T, N, M) of `splits`.
 
-
-def _convergence_sweep(p: NestedProblem, policy: Optional[AllocationPolicy],
-                       splits: Sequence[Tuple[int, int, int]], R: int, s: RngStream,
-                       span_for: Callable[[int, int], _SpanFn],
-                       rep_schedule: Optional[Mapping[int, int]], drop_smallest: int,
-                       workers: int) -> ConvergenceReport:
+    Row idx draws its replications with span_for(N, M) on s.split(idx):
+    rep_schedule[T] of them when the schedule names T, R otherwise.
+    """
     truth = _require_truth(p)
     _check_reps(R, rep_schedule)
-    rows = []
-    for idx, (T, N, M) in enumerate(splits):
-        R_T = _reps_for(T, R, rep_schedule)
-        vals, degf = _fill_replications([span_for(N, M)], s.split(idx), R_T, workers)
-        mean, mse, mse_se, dfrac = _row_statistics(vals[0], degf[0], truth)
-        rows.append(ConvergenceRow(T=T, N=N, M=M, reps=R_T, mean=mean, mse=mse,
-                                   mse_se=mse_se, degenerate_frac=dfrac,
-                                   flagged=dfrac >= DEGENERATE_ROW_THRESHOLD))
-    fit, note = _fit_rows(rows, drop_smallest, lambda r: float(r.T))
-    return ConvergenceReport(model=p.name, policy=policy, rows=tuple(rows),
+    reps = [int(rep_schedule[T]) if rep_schedule and T in rep_schedule else R
+            for T, _, _ in splits]
+    jobs = [(span_for(N, M), s.split(idx), R_T)
+            for idx, ((_, N, M), R_T) in enumerate(zip(splits, reps))]
+    return [(R_T, *_row_statistics(vals, degf, truth))
+            for R_T, (vals, degf) in zip(reps, _fill_replications(jobs, workers))]
+
+
+def _fit(points: Sequence[Tuple[float, float]], zero_note: str) -> tuple:
+    """(fit, note): the log-log fit of `points`, or None and why none was made."""
+    if len(points) < 2:
+        return None, "fewer than 2 usable rows for the slope fit"
+    if any(not (y > 0) for _, y in points):
+        return None, zero_note
+    return fit_loglog_slope(points), ""
+
+
+def _convergence(p: NestedProblem, policy: Optional[AllocationPolicy],
+                 splits: Sequence[Tuple[int, int, int]], R: int, s: RngStream,
+                 span_for: Callable[[int, int], _SpanFn],
+                 rep_schedule: Optional[Mapping[int, int]], drop_smallest: int,
+                 workers: int) -> ConvergenceReport:
+    stats = _sweep(p, splits, R, s, span_for, rep_schedule, workers)
+    if drop_smallest < 0:
+        raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
+    rows = tuple(ConvergenceRow(T=T, N=N, M=M, reps=reps, mean=mean, mse=mse, mse_se=mse_se,
+                                degenerate_frac=dfrac,
+                                flagged=dfrac >= DEGENERATE_ROW_THRESHOLD)
+                 for (T, N, M), (reps, mean, _, mse, mse_se, dfrac) in zip(splits, stats))
+    fit, note = _fit([(r.T, r.mse) for r in rows[drop_smallest:] if not r.flagged],
+                     "degenerate: zero MSE")
+    return ConvergenceReport(model=p.name, policy=policy, rows=rows,
                              fit=fit, fit_note=note, root_seed=s.root_seed)
 
 
@@ -260,13 +271,9 @@ def run_convergence(p: NestedProblem, policy: AllocationPolicy, budgets: Sequenc
     degenerate fraction reaches 10% are flagged and left out of the fit,
     as are the `drop_smallest` smallest budgets.
     """
-    splits = []
-    for T in _budget_list(budgets):
-        N, M = split_budget(policy, T)
-        splits.append((T, N, M))
+    splits = [(T, *split_budget(policy, T)) for T in _budget_list(budgets)]
     span_for = lambda N, M: partial(nmc_replications, p, N, M)
-    return _convergence_sweep(p, policy, splits, R, s, span_for,
-                              rep_schedule, drop_smallest, workers)
+    return _convergence(p, policy, splits, R, s, span_for, rep_schedule, drop_smallest, workers)
 
 
 def run_collapsed_convergence(p: NestedProblem, Ns: Sequence[int], R: int, s: RngStream, *,
@@ -279,8 +286,7 @@ def run_collapsed_convergence(p: NestedProblem, Ns: Sequence[int], R: int, s: Rn
     """
     splits = [(N, N, 1) for N in _budget_list(Ns)]
     span_for = lambda N, M: partial(collapsed_replications, p, N)
-    return _convergence_sweep(p, None, splits, R, s, span_for,
-                              rep_schedule, drop_smallest, workers)
+    return _convergence(p, None, splits, R, s, span_for, rep_schedule, drop_smallest, workers)
 
 
 def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, *,
@@ -289,33 +295,25 @@ def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, 
 
     Fits log10 |mean error| against log10 M; rows where the model supplies
     an expected estimator value carry the prediction.  A mean error of
-    exactly zero makes the log fit degenerate and is noted instead.
+    exactly zero, or none at all (no finite replication), makes the log fit
+    degenerate and is noted instead.
     """
     truth = _require_truth(p)
     _check_reps(R, None)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    rows = []
-    for idx, M in enumerate(sorted({int(M) for M in Ms})):
-        if M < 1:
-            raise ValueError(f"inner counts must be >= 1, got {M}")
-        span = partial(nmc_replications, p, N, M)
-        vals = _fill_replications([span], s.split(idx), R, workers)[0][0]
-        mean_error = float(np.mean(vals)) - truth
-        se = float(np.sqrt(np.var(vals, ddof=1) / R))
-        predicted = None
-        if p.expected_nmc_value is not None:
-            predicted = float(p.expected_nmc_value(M)) - truth
-        rows.append(BiasRow(M=M, N=N, reps=R, mean_error=mean_error, se=se,
-                            predicted=predicted))
-    if len(rows) < 2:
-        fit, note = None, "fewer than 2 usable rows for the slope fit"
-    elif any(r.mean_error == 0 for r in rows):
-        fit, note = None, "degenerate: zero mean error"
-    else:
-        fit = fit_loglog_slope([(r.M, abs(r.mean_error)) for r in rows])
-        note = ""
-    return BiasReport(model=p.name, N=N, rows=tuple(rows), fit=fit, fit_note=note,
+    Ms = sorted({int(M) for M in Ms})
+    if Ms and Ms[0] < 1:
+        raise ValueError(f"inner counts must be >= 1, got {Ms[0]}")
+    splits = [(N * M, N, M) for M in Ms]
+    span_for = lambda N, M: partial(nmc_replications, p, N, M)
+    stats = _sweep(p, splits, R, s, span_for, None, workers)
+    rows = tuple(BiasRow(M=M, N=N, reps=R, mean_error=mean - truth, se=se,
+                         predicted=None if p.expected_nmc_value is None
+                         else float(p.expected_nmc_value(M)) - truth)
+                 for M, (_, mean, se, *_) in zip(Ms, stats))
+    fit, note = _fit([(r.M, abs(r.mean_error)) for r in rows], "degenerate: zero mean error")
+    return BiasReport(model=p.name, N=N, rows=rows, fit=fit, fit_note=note,
                       root_seed=s.root_seed)
 
 
@@ -350,23 +348,13 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
     if not policies:
         raise ValueError("need at least one policy to compare")
     splits = [split_budget(policy, T) for policy in policies]
-    spans = [partial(nmc_replications, p, N, M) for N, M in splits]
-    vals, _ = _fill_replications(spans, s, R, workers)
-    errs = vals - truth
-
-    stats = []
-    for j, (N, M) in enumerate(splits):
-        sq = errs[j] ** 2
-        mse = float(np.mean(sq))
-        mse_se = float(np.sqrt(np.var(sq, ddof=1) / R))
-        stats.append((mse, j, N, M, mse_se))
+    jobs = [(partial(nmc_replications, p, N, M), s, R) for N, M in splits]
+    stats = [_row_statistics(vals, degf, truth)[2:4]
+             for vals, degf in _fill_replications(jobs, workers)]
     order = sorted(range(len(stats)), key=lambda j: (stats[j][0], j))
-    results = []
-    for rank_pos, j in enumerate(order, start=1):
-        mse, _, N, M, mse_se = stats[j]
-        results.append(PolicyResult(policy=policies[j], N=N, M=M, mse=mse,
-                                    mse_se=mse_se, rank=rank_pos))
-    mses = [r.mse for r in results]
-    tie = len(set(mses)) < len(mses)
-    return PolicyRanking(model=p.name, T=int(T), reps=R, results=tuple(results),
+    results = tuple(PolicyResult(policy=policies[j], N=splits[j][0], M=splits[j][1],
+                                 mse=stats[j][0], mse_se=stats[j][1], rank=rank)
+                    for rank, j in enumerate(order, start=1))
+    tie = len({r.mse for r in results}) < len(results)
+    return PolicyRanking(model=p.name, T=int(T), reps=R, results=results,
                          tie=tie, root_seed=s.root_seed)

@@ -27,15 +27,16 @@ A stream and a batch hold the same state, a counter and the signed
 and leave the batch where the sampler left the streams.
 
 A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
-into the buffers of a :class:`Workspace`, so a loop that draws block after
-block of the same size reuses the same memory instead of allocating (and,
-for large blocks, page-faulting) fresh arrays each time.
+into the buffers of its thread's :class:`Workspace`, so a loop that draws
+block after block of the same size reuses the same memory instead of
+allocating (and, for large blocks, page-faulting) fresh arrays each time.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import threading
 from typing import Callable
 
 import numpy as np
@@ -179,6 +180,11 @@ _IDLE_REFS = _idle_refs()
 # without faults; pooling them would pin a whole buffer each.
 _POOL_MAX = 8
 _POOL_MIN = 1 << 12
+# Elements per buffer of a thread's workspace: the largest array a batch
+# draws into pooled memory.
+BUFFER_SIZE = 1 << 16
+# The workspace of each thread, made on its first batch.
+_THREAD = threading.local()
 
 
 class Workspace:
@@ -246,13 +252,13 @@ class RngStream:
         return RngStream(self.root_seed, self.path + (index,),
                          _key=_child_key_int(self._key, index))
 
-    def as_batch(self, workspace: "Workspace | None" = None) -> "StreamBatch":
-        """This stream as a batch of shape (), drawing into `workspace`."""
-        return StreamBatch(np.array(self._key, dtype=np.uint64), workspace)
+    def as_batch(self) -> "StreamBatch":
+        """This stream as a batch of shape ()."""
+        return StreamBatch(np.array(self._key, dtype=np.uint64))
 
-    def split_many(self, indices, workspace: "Workspace | None" = None) -> "StreamBatch":
-        """Batch of child streams, one per entry of `indices`, drawing into `workspace`."""
-        return self.as_batch(workspace).split_many(indices)
+    def split_many(self, indices) -> "StreamBatch":
+        """Batch of child streams, one per entry of `indices`."""
+        return self.as_batch().split_many(indices)
 
     def uniforms(self, n: int) -> np.ndarray:
         """Next `n` uniform draws in [0, 1)."""
@@ -298,15 +304,18 @@ class StreamBatch:
     normal per stream never pay for the sine branch.
 
     The arrays a batch makes (child keys, raw bits, uniforms, normals and
-    the pending Box-Muller pair) are taken from `workspace`, which its
-    children share; a batch made without one gets one sized to itself.
+    the pending Box-Muller pair) are taken from `workspace`, the workspace
+    of the thread that made the batch, so a batch is drawn on that thread.
     """
 
     __slots__ = ("keys", "workspace", "_counter", "_pending")
 
-    def __init__(self, keys: np.ndarray, workspace: Workspace | None = None):
+    def __init__(self, keys: np.ndarray):
         self.keys = keys
-        self.workspace = Workspace(keys.size) if workspace is None else workspace
+        try:
+            self.workspace = _THREAD.workspace
+        except AttributeError:
+            self.workspace = _THREAD.workspace = Workspace(BUFFER_SIZE)
         self._counter = 0
         # (r', b') of the Box-Muller pair whose sine branch is next.
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
@@ -319,7 +328,7 @@ class StreamBatch:
         """Batch of keys mix(parent ^ hashed), broadcast to `shape`."""
         ws = self.workspace
         keys = np.bitwise_xor(parent, hashed, out=ws.take(shape))
-        return StreamBatch(ws.mix(keys), ws)
+        return StreamBatch(ws.mix(keys))
 
     def split(self, index: int) -> "StreamBatch":
         """Child `index` of every stream in the batch; the shape is unchanged."""

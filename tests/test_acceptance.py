@@ -19,6 +19,7 @@ the window and the asymptotic exponent, so the pre-asymptotic gap stays on
 record.  Every other window is asserted as written.
 """
 
+import os
 import time
 
 import numpy as np
@@ -35,6 +36,10 @@ from nestmc.problem import gamma_quadrature, validate
 from nestmc.rng import make_root
 
 SEED = 7
+# Criteria 2-7 run on every core: values are identical at any worker count
+# (criterion 8 pins that).  Criterion 1 runs on one worker, as its runtime
+# bound was set for one.
+WORKERS = os.cpu_count() or 1
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -76,11 +81,11 @@ def test_criterion_2_error_decomposition():
     policy = FixedOuter(10_000)
     budgets = [10_000 * M for M in counts]
     law = [(M, log_mse(p, N, M)) for N, M in (split_budget(policy, T) for T in budgets)]
-    m_rep = run_convergence(p, policy, budgets, 200, make_root(SEED))
+    m_rep = run_convergence(p, policy, budgets, 200, make_root(SEED), workers=WORKERS)
     m_slope = fit_loglog_slope([(r.M, r.mse) for r in m_rep.rows]).slope
     ok_m, m_detail = _law_check("MSE-vs-M slope", m_slope, law, 0.2, "-1")
 
-    n_rep = run_fixed_inner(p, 10_000, counts, 2000, make_root(SEED))
+    n_rep = run_fixed_inner(p, 10_000, counts, 2000, make_root(SEED), workers=WORKERS)
     n_slope = fit_loglog_slope([(r.N, r.mse) for r in n_rep.rows]).slope
     ok_n = -1.2 <= n_slope <= -0.8
 
@@ -96,8 +101,8 @@ def test_criterion_3_linear_collapse():
     grid = [10**k for k in range(2, 6)]
     law = [(T, linear_mse(p, *split_budget(policy, T))) for T in grid]
     root = make_root(SEED)
-    col = run_collapsed_convergence(p, grid, 1000, root.split(0))
-    nest = run_convergence(p, policy, grid, 1000, root.split(1))
+    col = run_collapsed_convergence(p, grid, 1000, root.split(0), workers=WORKERS)
+    nest = run_convergence(p, policy, grid, 1000, root.split(1), workers=WORKERS)
     ok_col = -1.15 <= col.fit.slope <= -0.85
     ok_nest, nest_detail = _law_check("nested slope", nest.fit.slope, law, 0.15, "-0.5")
     _report(3, ok_col and ok_nest,
@@ -108,8 +113,10 @@ def test_criterion_3_linear_collapse():
 
 def test_criterion_4_bias_law_and_sign():
     Ms = [2, 4, 8, 16, 32]
-    pos = run_bias(CATALOG["bias-quad-pos"](), 1000, Ms, 2000, make_root(SEED))
-    neg = run_bias(CATALOG["bias-quad-neg"](), 1000, Ms, 2000, make_root(SEED))
+    pos = run_bias(CATALOG["bias-quad-pos"](), 1000, Ms, 2000, make_root(SEED),
+                   workers=WORKERS)
+    neg = run_bias(CATALOG["bias-quad-neg"](), 1000, Ms, 2000, make_root(SEED),
+                   workers=WORKERS)
 
     all_positive = all(r.mean_error > 0 for r in pos.rows)
     within_3se = all(abs(r.mean_error - r.predicted) <= 3 * r.se
@@ -130,7 +137,7 @@ def test_criterion_4_bias_law_and_sign():
 
 def test_criterion_5_fixed_inner_plateau():
     rep = run_fixed_inner(CATALOG["bias-quad-pos"](), 5, [10**k for k in range(2, 6)],
-                          1000, make_root(SEED))
+                          1000, make_root(SEED), workers=WORKERS)
     mse_top = next(r for r in rep.rows if r.N == 10**5).mse
     floor = bias_quadratic_expected_value(5) ** 2
     ok = 0.5 * floor <= mse_top <= 2.0 * floor
@@ -144,7 +151,8 @@ def test_criterion_6_allocation_race():
     policies = [TauPower(0.5, 1), TauPower(1, 1), TauPower(2, 1)]
     wins = 0
     for seed in range(10):
-        ranking = compare_policies(p, 65536, policies, 1000, make_root(seed))
+        ranking = compare_policies(p, 65536, policies, 1000, make_root(seed),
+                                   workers=WORKERS)
         if ranking.results[0].policy == TauPower(1, 1):
             wins += 1
     ok = wins >= 9
@@ -164,7 +172,7 @@ def test_criterion_7_oracle_agreement():
     quad_truth = 0.5 * float(np.dot(w, np.log([float(p.gamma_exact(y)) for y in x])))
     ok_truth = abs(quad_truth - (-1.163844)) <= 1e-6
 
-    nmc = run_bias(p, 1000, [1000], 1000, make_root(SEED))
+    nmc = run_bias(p, 1000, [1000], 1000, make_root(SEED), workers=WORKERS)
     mean_gap = abs(nmc.rows[0].mean_error)
     ok_nmc = mean_gap < 0.01
 

@@ -209,9 +209,9 @@ def test_large_row_reuses_its_draw_buffers():
 
 
 def test_threads_never_share_a_workspace():
-    # Spans on many threads take workspaces from one idle list and draw at
-    # once; with frequent thread switches each must still give the values it
-    # gives alone.
+    # Spans on many threads draw at once, each into its own thread's
+    # workspace; with frequent thread switches each must still give the
+    # values it gives alone.
     p = CATALOG["gauss-log"]()
     rows = [make_root(9).split(k) for k in range(6)]
     want = [nmc_replications(p, 16, 4096, row, 0, 2)[0] for row in rows]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nestmc.allocation import FixedInner, FixedOuter, TauPower
-from nestmc.estimators import nmc_estimate
+from nestmc.estimators import nmc_estimate, nmc_replications
 from nestmc.harness import (compare_policies, fit_loglog_slope, run_bias,
                             run_collapsed_convergence, run_convergence,
                             run_fixed_inner)
@@ -202,6 +202,36 @@ def test_bias_zero_error_degenerate_note():
     assert rep.fit is None
     assert rep.fit_note == "degenerate: zero mean error"
     assert all(r.mean_error == 0.0 for r in rep.rows)
+
+
+def test_bias_fit_notes_a_nan_mean_error():
+    # log(w - 1) is NaN for every term (w < 1 on gauss-log), so no
+    # replication is finite: converge and bias both note the degenerate fit
+    # instead of raising.
+    p = dataclasses.replace(CATALOG["gauss-log"](), f=lambda y, w: np.log(w - 1.0))
+    conv = run_convergence(p, TauPower(1, 1), [16, 64], 3, make_root(0))
+    assert conv.fit is None and conv.fit_note.startswith("fewer than 2 usable rows")
+    rep = run_bias(p, 2, [2, 8], 3, make_root(0))
+    assert rep.fit is None
+    assert rep.fit_note == "degenerate: zero mean error"
+    assert all(math.isnan(r.mean_error) for r in rep.rows)
+
+
+def test_non_finite_replications_stay_out_of_mean_error_and_mse():
+    # One outer draw per replication and a term that is NaN for y <= 0: some
+    # replications are NaN, and bias rows and policy races average the
+    # finite ones, as converge rows do.
+    base = CATALOG["gauss-log"]()
+    p = dataclasses.replace(base, f=lambda y, w: np.where(y > 0, np.log(w), np.nan))
+    row = make_root(3).split(0)
+    vals = nmc_replications(p, 1, 8, row, 0, 40)[0]
+    used = vals[np.isfinite(vals)]
+    assert 0 < used.size < vals.size
+    rep = run_bias(p, 1, [8], 40, make_root(3))
+    assert rep.rows[0].mean_error == float(np.mean(used)) - base.truth
+    assert rep.rows[0].se == float(np.sqrt(np.var(used, ddof=1) / used.size))
+    ranking = compare_policies(p, 8, [FixedOuter(1)], 40, row)
+    assert ranking.results[0].mse == float(np.mean((used - base.truth) ** 2))
 
 
 def test_bias_faults():

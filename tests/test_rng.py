@@ -1,5 +1,7 @@
 """Splittable stream determinism, distribution sanity, and batch/scalar parity."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,13 +229,13 @@ _POOLED = np.arange(1 << 13, dtype=np.uint64)
 
 def test_pending_normal_survives_workspace_reuse():
     # A batch's second normal comes from the Box-Muller pair of its first;
-    # other batches drawing into the same workspace in between must not
-    # change it.
-    ws = Workspace(1 << 14)
-    a = make_root(3).split_many(_POOLED, ws)
+    # other batches drawing into the same (this thread's) workspace in
+    # between must not change it.
+    a = make_root(3).split_many(_POOLED)
     a.gaussians()
     for seed in (4, 5):
-        b = make_root(seed).split_many(_POOLED, ws)
+        b = make_root(seed).split_many(_POOLED)
+        assert b.workspace is a.workspace
         b.uniforms()
         b.gaussians()
         b.gaussians()
@@ -243,12 +245,12 @@ def test_pending_normal_survives_workspace_reuse():
 
 
 def test_workspace_never_overwrites_a_held_draw():
-    ws = Workspace(1 << 14)
-    batch = make_root(6).split_many(_POOLED, ws)
+    batch = make_root(6).split_many(_POOLED)
     kept = [batch.uniforms(), batch.gaussians(), batch.gaussians(), batch.split(1).keys]
     copies = [k.copy() for k in kept]
     for seed in range(8):
-        other = make_root(seed).split_many(_POOLED, ws)
+        other = make_root(seed).split_many(_POOLED)
+        assert other.workspace is batch.workspace
         other.split(2).gaussians()
         other.uniforms()
     for k, c in zip(kept, copies):
@@ -256,6 +258,31 @@ def test_workspace_never_overwrites_a_held_draw():
     fresh = make_root(6).split_many(_POOLED)
     np.testing.assert_array_equal(kept[0], fresh.uniforms())
     np.testing.assert_array_equal(kept[1], fresh.gaussians())
+
+
+def test_batches_draw_into_their_threads_workspace():
+    # Two threads stay alive at the barrier until both have made their
+    # batches, so two workspaces exist at once; neither is this thread's.
+    barrier = threading.Barrier(2)
+    made = {}
+
+    def work(k):
+        batch = make_root(k).split_many(_POOLED)
+        made[k] = (batch.workspace, make_root(k).as_batch().workspace)
+        barrier.wait(timeout=60)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    here = make_root(0).split_many(_POOLED)
+    (a0, b0), (a1, b1) = made[0], made[1]
+    assert a0 is b0 and a1 is b1
+    assert a0 is not a1 and here.workspace is not a0 and here.workspace is not a1
+    # Two batches made on one thread, and their children, share its workspace.
+    assert make_root(1).as_batch().workspace is here.workspace
+    assert here.split(2).split_many(_POOLED).workspace is here.workspace
 
 
 def test_workspace_recycles_a_dropped_buffer():
