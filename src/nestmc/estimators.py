@@ -1,39 +1,36 @@
-"""Monte Carlo estimators: plain, nested, depth-recursive, collapsed.
+"""Monte Carlo estimators: nested and collapsed.
 
 Every estimator is a pure function of its stream: repeated calls with the
 same stream are bit-identical, and the per-draw stream layout (outer draw n
 on child <0,n>, inner block n on child <1,n>, inner draw m on grandchild m)
 makes results independent of evaluation order and worker count.
 
-One block driver (``_replicate`` over ``_outer_terms``) draws every plain,
-nested and collapsed estimate, for one replication or a span of a row's.
+One block driver (``_replicate`` over ``_outer_terms``) draws every nested
+and collapsed estimate, for one replication or a span of a row's.
 Its blocks depend on (N, M) alone, and every mean runs over a contiguous
 last axis, so block grouping never changes a value.  Every batch draws
 into its thread's block-sized ``Workspace``, so the blocks of a span, and
 the spans after it, reuse the same buffers.  Samplers come from
 ``NestedProblem.batch_samplers``: a model without batch samplers has its
 scalar ones run stream by stream under the same blocks, with the same
-values bit for bit.  ``nmc_estimate_depth`` is the scalar reference.
+values bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .problem import NestedProblem, ProblemTree
-from .rng import BUFFER_SIZE, RngStream, index_hash, split
+from .problem import NestedProblem
+from .rng import BUFFER_SIZE, RngStream, index_hash
 
 __all__ = [
     "Estimate",
-    "mc_estimate",
     "nmc_estimate",
     "nmc_replications",
-    "nmc_estimate_depth",
     "collapsed_estimate",
     "collapsed_replications",
 ]
@@ -53,7 +50,7 @@ _REP_BLOCK = 1 << 14
 class Estimate:
     """Result of one estimator call.
 
-    ``n_inner`` is 0 for non-nested estimates and 1 for the collapsed
+    ``n_inner`` is M for the nested estimator and 1 for the collapsed
     estimator (one joint inner draw per outer draw).  ``degenerate_count``
     counts outer terms whose f value was not finite and was excluded from
     the average; an estimate with every term degenerate is invalid and
@@ -66,7 +63,6 @@ class Estimate:
     total_draws: int
     seed_path: tuple
     degenerate_count: int = 0
-    depth_counts: Optional[tuple] = None
 
     @property
     def valid(self) -> bool:
@@ -87,40 +83,12 @@ def _finalize(fv: np.ndarray) -> tuple:
     return values, degenerate
 
 
-def _estimate(fv: np.ndarray, s: RngStream, n_inner: int, total_draws: int,
-              depth_counts: Optional[tuple] = None) -> Estimate:
+def _estimate(fv: np.ndarray, s: RngStream, n_inner: int, total_draws: int) -> Estimate:
     """Estimate from one replication's outer terms, reduced by _finalize."""
     values, degenerate = _finalize(fv[None])
     return Estimate(value=float(values[0]), n_outer=fv.size, n_inner=n_inner,
                     total_draws=total_draws, seed_path=s.path,
-                    degenerate_count=int(degenerate[0]), depth_counts=depth_counts)
-
-
-def mc_estimate(sampler: Callable, integrand: Callable, N: int, s: RngStream,
-                sampler_batch: Optional[Callable] = None) -> Estimate:
-    """Plain Monte Carlo mean of integrand(y) with y_n drawn from split(s, n).
-
-    Without ``sampler_batch`` the integrand sees one scalar draw at a time:
-    integrand(sampler(stream)) runs on each stream.  ``sampler_batch``, when
-    given, draws one y per stream of a StreamBatch and the integrand gets the
-    array; it must reproduce the scalar sampler's draws exactly, and only
-    changes speed, never values.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if sampler_batch is not None:
-        terms = lambda b, idx: integrand(sampler_batch(b.split_many(idx)))
-    else:
-        terms = lambda b, idx: b.split_many(idx).each(lambda sn: integrand(sampler(sn)))
-    vals = _single(terms, s, N, 1)
-    return Estimate(
-        value=float(np.mean(vals)),
-        n_outer=N,
-        n_inner=0,
-        total_draws=N,
-        seed_path=s.path,
-        depth_counts=(N,),
-    )
+                    degenerate_count=int(degenerate[0]))
 
 
 def _chunked_mean(values_for: Callable, count: int):
@@ -208,7 +176,7 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
-    return _estimate(_single(_nested_terms(p, M), s, N, M), s, M, N * M, (N, M))
+    return _estimate(_single(_nested_terms(p, M), s, N, M), s, M, N * M)
 
 
 def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
@@ -222,54 +190,6 @@ def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
     return _replicate(_nested_terms(p, M), N, M, row, lo, hi)
-
-
-def _tree_level(t: ProblemTree, counts: Sequence[int], s: RngStream,
-                ancestors: tuple) -> np.ndarray:
-    """Values of one tree level's terms; leaf levels split directly by draw."""
-    N = counts[0]
-    if t.child is None:
-        # Return the term array so the caller controls the reduction.
-        return np.array([t.integrand(ancestors, t.sampler(split(s, m), ancestors))
-                         for m in range(N)], dtype=float)
-    s_draw = split(s, 0)
-    s_block = split(s, 1)
-    out = np.empty(N, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for n in range(N):
-            x = t.sampler(split(s_draw, n), ancestors)
-            child_terms = _tree_level(t.child, counts[1:], split(s_block, n),
-                                      ancestors + (x,))
-            w = float(_chunked_mean(lambda lo, hi: child_terms[lo:hi], counts[1]))
-            out[n] = t.integrand(ancestors, x, w)
-    return out
-
-
-def nmc_estimate_depth(t: ProblemTree, counts: Sequence[int], s: RngStream) -> Estimate:
-    """Recursive nested estimate over a ProblemTree with one count per depth.
-
-    A depth-1 tree reproduces mc_estimate; a depth-2 tree is bit-identical
-    to nmc_estimate with the same stream.  Degenerate-term exclusion applies
-    at the root level only (matching nmc_estimate, whose inner means are
-    never excluded), and only for depth >= 2.
-    """
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != t.depth:
-        raise ValueError(f"tree depth {t.depth} needs {t.depth} counts, got {len(counts)}")
-    if any(c < 1 for c in counts):
-        raise ValueError(f"all counts must be >= 1, got {counts}")
-    terms = _tree_level(t, counts, s, ())
-    total = math.prod(counts)
-    if t.depth > 1:
-        return _estimate(terms, s, counts[1], total, counts)
-    return Estimate(
-        value=float(_chunked_mean(lambda lo, hi: terms[lo:hi], counts[0])),
-        n_outer=counts[0],
-        n_inner=0,
-        total_draws=total,
-        seed_path=s.path,
-        depth_counts=counts,
-    )
 
 
 def _collapsed_terms(p: NestedProblem) -> Callable:

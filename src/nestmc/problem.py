@@ -21,7 +21,6 @@ __all__ = [
     "GaussianInner",
     "BoundedInner",
     "NestedProblem",
-    "ProblemTree",
     "validate",
     "gamma_quadrature",
 ]
@@ -85,42 +84,6 @@ class NestedProblem:
         on each stream of the batch (``StreamBatch.each``)."""
         return (self.outer_batch or (lambda b: b.each(self.outer_sampler)),
                 self.inner_batch or (lambda b, y: b.each(self.inner_sampler, y)))
-
-
-@dataclass(frozen=True)
-class ProblemTree:
-    """A recursively nested problem: one sampler and integrand per depth.
-
-    ``sampler(stream, ancestors)`` draws this level's variable given the tuple
-    of ancestor draws.  For a leaf, ``integrand(ancestors, x)`` maps the draw
-    to a value; for an internal level, ``integrand(ancestors, x, w)`` also
-    receives the child subtree's estimate ``w``.  A depth-1 tree is a single
-    expectation; a depth-2 tree is an ordinary NestedProblem.
-    """
-
-    sampler: Callable
-    integrand: Callable
-    child: Optional["ProblemTree"] = None
-    name: str = "tree"
-
-    @property
-    def depth(self) -> int:
-        return 1 if self.child is None else 1 + self.child.depth
-
-    @staticmethod
-    def from_problem(p: NestedProblem) -> "ProblemTree":
-        """Depth-2 tree with the same samplers, phi and f as ``p``."""
-        leaf = ProblemTree(
-            sampler=lambda s, anc: p.inner_sampler(s, anc[-1]),
-            integrand=lambda anc, z: p.phi(anc[-1], z),
-            name=p.name + "/inner",
-        )
-        return ProblemTree(
-            sampler=lambda s, anc: p.outer_sampler(s),
-            integrand=lambda anc, y, w: p.f(y, w),
-            child=leaf,
-            name=p.name,
-        )
 
 
 # Probe-point generation for validate(): draws come from the problem's own

@@ -9,10 +9,9 @@ import threading
 import numpy as np
 import pytest
 
-from nestmc.estimators import (collapsed_estimate, collapsed_replications, mc_estimate,
-                               nmc_estimate, nmc_estimate_depth, nmc_replications)
+from nestmc.estimators import (collapsed_estimate, collapsed_replications, nmc_estimate,
+                               nmc_replications)
 from nestmc.models import CATALOG, make_constant, make_gauss_log
-from nestmc.problem import ProblemTree
 from nestmc.rng import make_root, next_gaussian, next_uniform, split
 
 
@@ -34,50 +33,12 @@ def _signed_log():
         gamma_exact=None, truth=None, inner_quad=None)
 
 
-# ---------------------------------------------------------------- mc_estimate
-
-def test_mc_constant_integrand_exact():
-    p = make_gauss_log()
-    e = mc_estimate(p.outer_sampler, lambda y: 1.0, 37, make_root(0))
-    assert e.value == 1.0
-    assert e.n_outer == 37 and e.n_inner == 0 and e.total_draws == 37
-
-
-def test_mc_uniform_second_moment():
-    # y ~ Uniform(-1,1), E[y^2] = 1/3; batched for the million-draw run.
-    e = mc_estimate(lambda s: 2.0 * next_uniform(s) - 1.0,
-                    lambda y: y * y, 10**6, make_root(4),
-                    sampler_batch=lambda b: 2.0 * b.uniforms() - 1.0)
-    assert abs(e.value - 1.0 / 3.0) < 0.001
-
-
-def test_mc_single_draw_definition():
-    p = make_gauss_log()
-    s = make_root(9)
-    e = mc_estimate(p.outer_sampler, lambda y: 3.0 * y, 1, s)
-    assert e.value == 3.0 * p.outer_sampler(split(s, 0))
-
-
-def test_mc_batch_path_matches_scalar_path():
-    sampler = lambda s: 2.0 * next_uniform(s) - 1.0
-    batch = lambda b: 2.0 * b.uniforms() - 1.0
-    s = make_root(12)
-    a = mc_estimate(sampler, lambda y: y * y, 1000, s)
-    b = mc_estimate(sampler, lambda y: y * y, 1000, s, sampler_batch=batch)
-    assert a.value == b.value
-
-
-def test_mc_rejects_bad_count():
-    with pytest.raises(ValueError):
-        mc_estimate(lambda s: 0.0, lambda y: y, 0, make_root(0))
-
-
 # --------------------------------------------------------------- nmc_estimate
 
 def test_nmc_constant_exact():
     e = nmc_estimate(make_constant(2.0), 13, 7, make_root(1))
     assert e.value == 2.0
-    assert e.total_draws == 13 * 7 and e.depth_counts == (13, 7)
+    assert e.total_draws == 13 * 7 and e.n_inner == 7
     assert e.degenerate_count == 0 and e.valid
 
 
@@ -88,6 +49,24 @@ def test_nmc_single_draw_definition():
     y1 = p.outer_sampler(split(split(s, 0), 0))
     z11 = p.inner_sampler(split(split(split(s, 1), 0), 0), y1)
     assert e.value == p.f(y1, p.phi(y1, z11))
+
+
+@pytest.mark.parametrize("N,M", [(1, 1), (6, 4), (40, 25)])
+def test_scalar_double_loop_bit_identical_to_nmc(N, M):
+    # The naive reference for the block driver's stream layout and reduction
+    # order: one scalar draw at a time, outer draw n from <0,n>, inner draw m
+    # from <1,n,m>, and both means taken by np.mean.
+    p = make_gauss_log()
+    s = make_root(27)
+    terms = []
+    for n in range(N):
+        y = p.outer_sampler(s.split(0).split(n))
+        w = np.mean([p.phi(y, p.inner_sampler(s.split(1).split(n).split(m), y))
+                     for m in range(M)])
+        terms.append(p.f(y, w))
+    e = nmc_estimate(p, N, M, s)
+    assert e.value == np.mean(terms)
+    assert e.total_draws == N * M and e.degenerate_count == 0
 
 
 def test_nmc_rejects_bad_counts():
@@ -272,53 +251,6 @@ def test_nmc_bias_positive_and_decreasing_in_M():
         means.append(float(np.mean(vals)))
     assert all(m > 0 for m in means)
     assert all(a > b for a, b in zip(means, means[1:]))
-
-
-# --------------------------------------------------------- nmc_estimate_depth
-
-def test_depth_one_tree_matches_mc():
-    p = make_gauss_log()
-    t = ProblemTree(sampler=lambda s, anc: p.outer_sampler(s),
-                    integrand=lambda anc, y: y * y)
-    s = make_root(19)
-    e = nmc_estimate_depth(t, (64,), s)
-    ref = mc_estimate(p.outer_sampler, lambda y: y * y, 64, s)
-    assert e.value == ref.value
-    assert e.depth_counts == (64,) and e.n_inner == 0
-
-
-@pytest.mark.parametrize("N,M", [(1, 1), (6, 4), (40, 25)])
-def test_depth_two_tree_bit_identical_to_nmc(N, M):
-    # The tree draws one scalar at a time; nmc_estimate takes the batched path.
-    p = make_gauss_log()
-    t = ProblemTree.from_problem(p)
-    s = make_root(27)
-    a = nmc_estimate_depth(t, (N, M), s)
-    b = nmc_estimate(p, N, M, s)
-    assert a.value == b.value
-    assert a.total_draws == b.total_draws == N * M
-    assert a.degenerate_count == b.degenerate_count
-
-
-def test_depth_three_constants_exact():
-    c = 1.75
-    leaf = ProblemTree(sampler=lambda s, anc: next_uniform(s),
-                       integrand=lambda anc, x: c)
-    mid = ProblemTree(sampler=lambda s, anc: next_uniform(s),
-                      integrand=lambda anc, x, w: w, child=leaf)
-    top = ProblemTree(sampler=lambda s, anc: next_uniform(s),
-                      integrand=lambda anc, x, w: w, child=mid)
-    e = nmc_estimate_depth(top, (3, 4, 5), make_root(0))
-    assert e.value == c
-    assert e.total_draws == 60 and e.depth_counts == (3, 4, 5)
-
-
-def test_depth_count_mismatch_faults():
-    t = ProblemTree.from_problem(make_gauss_log())
-    with pytest.raises(ValueError):
-        nmc_estimate_depth(t, (5,), make_root(0))
-    with pytest.raises(ValueError):
-        nmc_estimate_depth(t, (5, 0), make_root(0))
 
 
 # --------------------------------------------------------- collapsed_estimate

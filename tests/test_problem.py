@@ -5,8 +5,7 @@ import math
 import pytest
 
 from nestmc.models import CATALOG
-from nestmc.problem import (BoundedInner, NestedProblem, ProblemTree, gamma_quadrature,
-                            validate)
+from nestmc.problem import BoundedInner, NestedProblem, gamma_quadrature, validate
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -104,21 +103,3 @@ def test_bounded_inner_quadrature():
     )
     assert gamma_quadrature(p, 0.0, 200) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
-
-def test_problem_tree_depths():
-    p = CATALOG["gauss-log"]()
-    t = ProblemTree.from_problem(p)
-    assert t.depth == 2
-    assert t.child.depth == 1
-    deeper = ProblemTree(sampler=lambda s, anc: 0.0,
-                         integrand=lambda anc, x, w: w,
-                         child=t)
-    assert deeper.depth == 3
-
-
-def test_problem_tree_leaf_matches_phi():
-    p = CATALOG["gauss-log"]()
-    t = ProblemTree.from_problem(p)
-    y, z = 0.3, -0.2
-    assert t.child.integrand((y,), z) == p.phi(y, z)
-    assert t.integrand((), y, 0.5) == p.f(y, 0.5)

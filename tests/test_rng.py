@@ -74,8 +74,13 @@ def test_sibling_outputs_share_no_prefix():
     assert len(set(seqs)) == len(seqs)
 
 
-def test_uniform_statistics():
-    u = make_root(2024).uniforms(10**6)
+@pytest.mark.parametrize("draw", [
+    lambda: make_root(2024).uniforms(10**6),
+    lambda: make_root(2024).split_many(np.arange(10**6)).uniforms(),
+], ids=["stream", "batch"])
+def test_uniform_statistics(draw):
+    # One scalar stream's draws, and one draw from each of 10^6 children.
+    u = draw()
     assert u.min() >= 0.0 and u.max() < 1.0
     assert abs(u.mean() - 0.5) < 0.002
     assert abs(u.var() - 1.0 / 12.0) < 0.001
