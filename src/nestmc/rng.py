@@ -11,20 +11,18 @@ taken from the root.  Draw ``j`` of a stream is a keyed hash of ``j``
 
 The generator is a SplitMix-style 64-bit mixer (Stafford variant 13)
 applied to ``key + (j+1) * GOLDEN``.  Normal draws come in Box-Muller
-pairs from two consecutive draws: the radius from the first draw's uniform
-and a half-angle in [0, pi/4) from the top 53 bits of the second draw's raw
-word, whose bits 0 and 1 give the signs of the radius and of the
-half-angle (see :func:`_box_muller`).  The first output is returned and the
-second is produced on the following draw, so a pair always consumes exactly
-two draws.  Bit-exactness is promised within one version of this
-implementation only, not across versions, languages or libraries: versions
-before the half-angle transform took ``r cos 2 pi u2`` and ``r sin 2 pi u2``,
-so their normals, and every report built on them, differ from today's.
+pairs from two consecutive draws (see :func:`_box_muller`): the first
+output is returned and the second is produced on the following draw, so a
+pair always consumes exactly two draws.  Bit-exactness is promised within
+one version of this implementation only, not across versions, languages or
+libraries.
 
 A stream and a batch hold the same state, a counter and the signed
 (radius, half-angle) of a pending Box-Muller pair, so
 :meth:`StreamBatch.each` can run a scalar sampler on each stream of a batch
-and leave the batch where the sampler left the streams.
+and leave the batch where the sampler left the streams.  A stream draws
+one word at a time in python integers, a batch one per stream in uint64
+arrays, and both run the same Box-Muller kernels, so they agree bit for bit.
 
 A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
 into the buffers of its thread's :class:`Workspace`, so a loop that draws
@@ -89,10 +87,6 @@ def _mix_u64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-def _root_key(seed: int) -> int:
-    return _mix_int((seed & _MASK64) ^ _SEED_SALT)
-
-
 def _child_key_int(key: int, index: int) -> int:
     return _mix_int(key ^ _mix_int((index + _GOLDEN) & _MASK64))
 
@@ -101,14 +95,6 @@ def index_hash(indices) -> np.ndarray:
     """Pre-hashed split indices for reuse across many `split_hashed` calls."""
     h = np.asarray(indices, dtype=np.uint64) + _U_GOLDEN
     return _mix_u64(h, np.empty_like(h))
-
-
-def _raw_block(key: int, start: int, n: int) -> np.ndarray:
-    """Raw 64-bit outputs for draws start .. start+n-1 of one stream."""
-    j = np.arange(start + 1, start + n + 1, dtype=np.uint64)
-    j *= _U_GOLDEN
-    j += np.uint64(key)
-    return _mix_u64(j, np.empty_like(j))
 
 
 def _to_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -225,9 +211,8 @@ class Workspace:
 class RngStream:
     """One reproducible random stream, identified by (root_seed, path).
 
-    The stream holds a draw counter and the signed (radius, half-angle) of
-    a pending Box-Muller pair, as one-element arrays, whose sine branch is
-    its next normal; ``split`` is pure and never advances the parent.
+    Its pending Box-Muller pair is two one-element arrays, as its normals
+    come from the batch kernels; ``split`` never advances the stream.
     """
 
     __slots__ = ("root_seed", "path", "_key", "_counter", "_pending")
@@ -236,7 +221,7 @@ class RngStream:
         self.root_seed = root_seed & _MASK64
         self.path = tuple(i & _MASK64 for i in path)
         if _key is None:
-            _key = _root_key(self.root_seed)
+            _key = _mix_int(self.root_seed ^ _SEED_SALT)
             for i in self.path:
                 _key = _child_key_int(_key, i)
         self._key = _key
@@ -260,38 +245,23 @@ class RngStream:
         """Batch of child streams, one per entry of `indices`."""
         return self.as_batch().split_many(indices)
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """Next `n` uniform draws in [0, 1)."""
-        out = _to_unit(_raw_block(self._key, self._counter, n), np.empty(n))
-        self._counter += n
-        return out
-
-    def gaussians(self, n: int) -> np.ndarray:
-        """Next `n` standard-normal draws (Box-Muller pairs; an odd one stays pending)."""
-        out = np.empty(n)
-        k = 0
-        if self._pending is not None and n > 0:
-            (r, b), self._pending = self._pending, None
-            # A copy, as b may view a batch's pending pair (StreamBatch.each).
-            _sine_branch(r, b.copy(), out[:1])
-            k = 1
-        pairs = (n - k + 1) // 2
-        if pairs > 0:
-            bits = _raw_block(self._key, self._counter, 2 * pairs).reshape(pairs, 2).T.copy()
-            self._counter += 2 * pairs
-            normals = np.empty((2, pairs))
-            r, b = _box_muller(_to_unit(bits[0], np.empty(pairs)), bits[1], normals[0])
-            if n - k < 2 * pairs:
-                self._pending = (r[-1:].copy(), b[-1:].copy())
-            _sine_branch(r, b, normals[1])
-            out[k:] = normals.T.ravel()[:n - k]
-        return out
+    def _word(self) -> int:
+        """The raw 64-bit word of this stream's next draw."""
+        self._counter += 1
+        return _mix_int(self._key + self._counter * _GOLDEN)
 
     def next_uniform(self) -> float:
-        return float(self.uniforms(1)[0])
+        return (self._word() >> 11) * _TO_UNIT
 
     def next_gaussian(self) -> float:
-        return float(self.gaussians(1)[0])
+        out = np.empty(1)
+        if self._pending is None:
+            w = np.array([self._word(), self._word()], dtype=np.uint64)
+            self._pending = _box_muller(_to_unit(w[:1], np.empty(1)), w[1:], out)
+        else:
+            (r, b), self._pending = self._pending, None
+            _sine_branch(r, b.copy(), out)  # a copy: b may view a batch's pending pair
+        return float(out[0])
 
 
 class StreamBatch:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from nestmc.harness import (compare_policies, fit_loglog_slope, run_bias,
                             run_fixed_inner)
 from nestmc.models import CATALOG, bias_quadratic_expected_value
 from nestmc.rng import make_root
+
+# The slow runners below use every core; their values do not depend on it.
+WORKERS = os.cpu_count() or 1
 
 
 # ------------------------------------------------------------ fit_loglog_slope
@@ -159,7 +163,7 @@ def test_convergence_mse_strictly_decreasing_on_benchmark():
     # One sampling-noise inversion is allowed across the seven budget steps.
     p = CATALOG["gauss-log"]()
     rep = run_convergence(p, TauPower(1, 1), [4**k for k in range(2, 10)], 250,
-                          make_root(7))
+                          make_root(7), workers=WORKERS)
     mses = [r.mse for r in rep.rows]
     drops = sum(1 for a, b in zip(mses, mses[1:]) if b < a)
     assert drops >= 6
@@ -256,20 +260,20 @@ def test_fixed_inner_plateau_versus_coupled_policy():
     # Fixed M: MSE(1e4)/MSE(1e5) stays near 1 (plateau); the coupled policy
     # at matched budgets keeps improving by more than 2x.
     p = CATALOG["bias-quad-pos"]()
-    rep = run_fixed_inner(p, 5, [10**4, 10**5], 150, make_root(13))
+    rep = run_fixed_inner(p, 5, [10**4, 10**5], 150, make_root(13), workers=WORKERS)
     assert [r.N for r in rep.rows] == [10**4, 10**5]
     assert all(r.M == 5 for r in rep.rows)
     ratio = rep.rows[0].mse / rep.rows[1].mse
     assert 0.8 <= ratio <= 1.5
 
     coupled = run_convergence(p, TauPower(1, 1), [5 * 10**4, 5 * 10**5], 150,
-                              make_root(13))
+                              make_root(13), workers=WORKERS)
     assert coupled.rows[0].mse / coupled.rows[1].mse > 2.0
 
 
 def test_fixed_inner_plateau_level():
     p = CATALOG["bias-quad-pos"]()
-    rep = run_fixed_inner(p, 5, [10**5], 150, make_root(13))
+    rep = run_fixed_inner(p, 5, [10**5], 150, make_root(13), workers=WORKERS)
     target = bias_quadratic_expected_value(5) ** 2
     assert 0.5 * target <= rep.rows[0].mse <= 2.0 * target
 

@@ -1,5 +1,6 @@
 """Model catalog oracles: frozen constants against independent quadrature."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,9 +19,15 @@ def _phi(y, z):
     return math.sqrt(2.0 / math.pi) * np.exp(-2.0 * (y - z) ** 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _hermite(n=400):
+    # Gauss-Hermite nodes and weights, computed once per n (~3 ms each).
+    return roots_hermite(n)
+
+
 def _gamma_by_hermite(y, n=400):
     # E_z[phi(y,z)] for z ~ N(0,1), via Gauss-Hermite with z = sqrt(2) x.
-    x, w = roots_hermite(n)
+    x, w = _hermite(n)
     return float(np.sum(w * _phi(y, math.sqrt(2.0) * x)) / math.sqrt(math.pi))
 
 
@@ -74,7 +81,7 @@ def test_gauss_log_truth_closed_form_and_quadrature():
 
 def test_bias_quadratic_c_matches_independent_quadrature():
     def var_phi_given(y):
-        x, w = roots_hermite(400)
+        x, w = _hermite(400)
         z = math.sqrt(2.0) * x
         second = float(np.sum(w * _phi(y, z) ** 2) / math.sqrt(math.pi))
         return second - _gamma_by_hermite(y) ** 2

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestmc.rng import (RngStream, Workspace, _raw_block, index_hash, make_root, next_gaussian,
-                        next_uniform, split)
+from nestmc.rng import (RngStream, Workspace, index_hash, make_root, next_gaussian, next_uniform,
+                        split)
 
 
 def _uniforms(stream, n):
     return [next_uniform(stream) for _ in range(n)]
+
+
+def _gaussians(stream, n):
+    return [next_gaussian(stream) for _ in range(n)]
 
 
 def test_make_root_deterministic():
@@ -64,18 +68,18 @@ def test_split_order_sensitive():
 def test_same_path_regenerates_bitwise():
     a = RngStream(123, ()).split(4).split(9)
     b = RngStream(123, ()).split(4).split(9)
-    assert a.uniforms(257).tolist() == b.uniforms(257).tolist()
+    assert _uniforms(a, 257) == _uniforms(b, 257)
     assert a.path == (4, 9) and a.root_seed == 123
 
 
 def test_sibling_outputs_share_no_prefix():
     r = make_root(3)
-    seqs = [tuple(split(r, i).uniforms(8).tolist()) for i in range(64)]
+    seqs = [tuple(_uniforms(split(r, i), 8)) for i in range(64)]
     assert len(set(seqs)) == len(seqs)
 
 
 @pytest.mark.parametrize("draw", [
-    lambda: make_root(2024).uniforms(10**6),
+    lambda: np.array(_uniforms(make_root(2024), 10**6)),
     lambda: make_root(2024).split_many(np.arange(10**6)).uniforms(),
 ], ids=["stream", "batch"])
 def test_uniform_statistics(draw):
@@ -87,7 +91,9 @@ def test_uniform_statistics(draw):
 
 
 def test_gaussian_statistics():
-    g = make_root(2025).gaussians(10**6)
+    # Both normals of the Box-Muller pairs of 5 * 10^5 streams.
+    batch = make_root(2025).split_many(np.arange(5 * 10**5))
+    g = np.concatenate([batch.gaussians(), batch.gaussians()])
     assert abs(g.mean()) < 0.003
     assert abs(g.var() - 1.0) < 0.005
     assert abs(np.mean(np.abs(g) > 1.96) - 0.05) < 0.001
@@ -96,7 +102,7 @@ def test_gaussian_statistics():
 def test_gaussian_pairs_mix_both_transform_branches():
     # Box-Muller yields pairs; consecutive draws must not be equal or trivially
     # correlated.  Correlation over many draws should be near zero.
-    g = make_root(5).gaussians(10**5)
+    g = np.array(_gaussians(make_root(5), 10**5))
     corr = np.corrcoef(g[:-1], g[1:])[0, 1]
     assert abs(corr) < 0.02
 
@@ -117,7 +123,8 @@ def test_stream_fingerprint():
         0x6c533da8c3f3841e, 0x45d477af2dc6905c, 0x4a1a87d7c342dd54, 0x6f2eb64e49bd857c,
         0x9c0c76cdc363fb8c, 0xdb0adddade5441d0, 0x63bac01912577881, 0xd39cb47872e8f383,
         0xb484fa11bd1c7b9d, 0xca7b2cff389d10b6, 0xa025c440cd833765], _STREAM_CHANGE
-    assert _raw_block(root._key, 0, 2).tolist() == [
+    fresh = make_root(2024)
+    assert [fresh._word(), fresh._word()] == [
         0xdcfd0164a1a68267, 0xea73482f7b5a5fcc], _STREAM_CHANGE
     uniforms = [root.next_uniform(), child.next_uniform(), *many.uniforms().tolist(),
                 *grand.uniforms().ravel().tolist()]
@@ -126,7 +133,7 @@ def test_stream_fingerprint():
         "0x1.ccc09c73bbb74p-1", "0x1.63deec883ba4bp-1", "0x1.673a00bb1059cp-2",
         "0x1.ab05d683023c8p-1", "0x1.ab0550a9844e4p-2", "0x1.14b22bb192a67p-1",
         "0x1.fc8c85ac02af9p-1", "0x1.96093709a81c4p-1"], _STREAM_CHANGE
-    normals = [make_root(1).gaussians(4), make_root(1).split(3).gaussians(4)]
+    normals = [_gaussians(make_root(1), 4), _gaussians(make_root(1).split(3), 4)]
     assert [[float.hex(g) for g in n] for n in normals] == [
         ["0x1.b3c19836bb735p+0", "-0x1.2e8ea6b7c4f58p+0",
          "-0x1.a3f818336b7dbp+0", "0x1.21e321c26379bp-1"],
@@ -153,16 +160,30 @@ def test_box_muller_pair_is_two_independent_normals():
 
 
 def test_scalar_draws_match_block_draws():
-    s1 = make_root(99).split(1)
-    s2 = make_root(99).split(1)
-    block = s1.uniforms(17)
-    singles = np.array([next_uniform(s2) for _ in range(17)])
-    np.testing.assert_array_equal(block, singles)
+    s = make_root(99).split(1)
+    batch = s.as_batch()
+    assert _uniforms(s, 17) == [float(batch.uniforms()) for _ in range(17)]
 
-    s1 = make_root(99).split(2)
-    s2 = make_root(99).split(2)
-    np.testing.assert_array_equal(
-        s1.gaussians(9), np.array([next_gaussian(s2) for _ in range(9)]))
+    s = make_root(99).split(2)
+    batch = s.as_batch()
+    assert _gaussians(s, 9) == [float(batch.gaussians()) for _ in range(9)]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       path=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=3),
+       pattern=st.lists(st.booleans(), max_size=12))
+@settings(max_examples=50, deadline=None)
+def test_scalar_stream_matches_its_batch_bit_for_bit(seed, path, pattern):
+    # A stream hashes python ints and a batch uint64 arrays; both must wrap
+    # key + counter * GOLDEN at 2**64 and give the same bits.
+    s = make_root(seed)
+    for i in path:
+        s = s.split(i)
+    batch = s.as_batch()
+    for normal in pattern:
+        got = s.next_gaussian() if normal else s.next_uniform()
+        want = float(batch.gaussians() if normal else batch.uniforms())
+        assert got.hex() == want.hex()
 
 
 def test_batch_streams_match_scalar_children():
@@ -210,11 +231,11 @@ def test_each_runs_scalar_draws_under_the_batch():
 def test_each_leaves_a_pending_pair_for_the_batch():
     root = make_root(18)
     batch = root.split_many(np.arange(5, dtype=np.uint64))
-    first = batch.each(lambda s: s.gaussians(3)[-1])
+    first = batch.each(lambda s: _gaussians(s, 3)[-1])
     second = batch.gaussians()
     for i in range(5):
         child = root.split(i)
-        g = child.gaussians(4)
+        g = _gaussians(child, 4)
         assert (first[i], second[i]) == (g[2], g[3])
 
 
@@ -306,9 +327,9 @@ def test_workspace_recycles_a_dropped_buffer():
 @settings(max_examples=50, deadline=None)
 def test_uniform_range_holds_for_any_seed_and_path(seed, idx):
     s = make_root(seed).split(idx)
-    u = s.uniforms(16)
+    u = np.array(_uniforms(s, 16))
     assert np.all(u >= 0.0) and np.all(u < 1.0)
-    assert np.all(np.isfinite(s.gaussians(16)))
+    assert np.all(np.isfinite(_gaussians(s, 16)))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32),
@@ -319,5 +340,5 @@ def test_regeneration_is_bit_identical(seed, path):
         s = make_root(seed)
         for i in path:
             s = split(s, i)
-        return s.uniforms(8)
+        return _uniforms(s, 8)
     np.testing.assert_array_equal(build(), build())
