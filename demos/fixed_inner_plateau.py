@@ -15,6 +15,8 @@ Equivalent CLI runs (the first via a fixed-inner policy):
         --budgets 500,5000,50000,500000 --reps 200 --seed 7
 """
 
+import os
+
 from nestmc import (CATALOG, TauPower, bias_quadratic_expected_value, make_root,
                     run_convergence, run_fixed_inner)
 
@@ -24,9 +26,11 @@ M = 5
 def main():
     problem = CATALOG["bias-quad-pos"]()
     Ns = [10**k for k in range(2, 6)]
-    pinned = run_fixed_inner(problem, M, Ns, 200, make_root(7))
+    # Values do not depend on the worker count, so use every core.
+    workers = os.cpu_count() or 1
+    pinned = run_fixed_inner(problem, M, Ns, 200, make_root(7), workers=workers)
     coupled = run_convergence(problem, TauPower(1, 1), [N * M for N in Ns], 200,
-                              make_root(7))
+                              make_root(7), workers=workers)
     floor = bias_quadratic_expected_value(M) ** 2
 
     print(f"bias floor for M={M}: (c/{M})^2 = {floor:.3e}")

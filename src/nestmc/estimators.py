@@ -2,8 +2,9 @@
 
 Every estimator is a pure function of its stream: repeated calls with the
 same stream are bit-identical, and the per-draw stream layout (outer draw n
-on child <0,n>, inner block n on child <1,n>, inner draw m on grandchild m)
-makes results independent of evaluation order and worker count.
+on child <0,n>, inner block n on child <1,n>, inner draws 2k and 2k+1 on
+grandchild k, as the inner sampler's first and second call there) makes
+results independent of evaluation order and worker count.
 
 One block driver (``_replicate`` over ``_outer_terms``) draws every nested
 and collapsed estimate, for one replication or a span of a row's.
@@ -140,39 +141,56 @@ def _single(terms: Callable, s: RngStream, N: int, M: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _inner_hashes(M: int) -> np.ndarray:
-    """Read-only pre-hashed inner indices 0..M-1, kept for the last few M.
+def _inner_hashes(K: int) -> np.ndarray:
+    """Read-only pre-hashed grandchild indices 0..K-1, kept for the last few K.
 
-    Every span of a row hashes the same M indices, so a row pays for them
+    Every span of a row hashes the same K indices, so a row pays for them
     once rather than once per span.
     """
-    h = index_hash(np.arange(M, dtype=np.uint64))
+    h = index_hash(np.arange(K, dtype=np.uint64))
     h.setflags(write=False)
     return h
 
 
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
-    """Nested-estimator terms f(y_n, inner mean of M draws) for _outer_terms."""
-    mhash = _inner_hashes(M)
+    """Nested-estimator terms f(y_n, inner mean of M draws) for _outer_terms.
+
+    Grandchild k of an inner block serves inner draws 2k and 2k+1, as the
+    first and second call of the inner sampler on it; for odd M the second
+    draw of the last pair goes unused.  Both calls' draws go to one array
+    in m order, and one phi call per block.
+    """
+    mhash = _inner_hashes((M + 1) // 2)
     outer_batch, inner_batch = p.batch_samplers()
+
+    def inner_phi(yb, inner, lo, hi):
+        # lo is 0 or a multiple of _CHUNK, so blocks start on a pair.  z is
+        # taken after the first call and the first draws are dropped before
+        # the second, so neither call holds both arrays besides its own.
+        pairs = inner.split_hashed(mhash[lo // 2:(hi + 1) // 2])
+        first = inner_batch(pairs, yb)
+        z = pairs.workspace.take(pairs.shape[:-1] + (hi - lo,), np.float64)
+        z[..., 0::2] = first
+        del first
+        z[..., 1::2] = inner_batch(pairs, yb)[..., :(hi - lo) // 2]
+        return p.phi(yb, z)
 
     def terms(reps, idx):
         y = outer_batch(reps.split(0).split_many(idx))
         yb = y[..., None]
         inner = reps.split(1).split_many(idx)
-        w = _chunked_mean(
-            lambda lo, hi: p.phi(yb, inner_batch(inner.split_hashed(mhash[lo:hi]), yb)), M)
-        return p.f(y, w)
+        return p.f(y, _chunked_mean(lambda lo, hi: inner_phi(yb, inner, lo, hi), M))
     return terms
 
 
 def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     """Nested Monte Carlo estimate: (1/N) sum_n f(y_n, (1/M) sum_m phi(y_n, z_nm)).
 
-    Outer draw n comes from child stream <0,n>, its inner block from <1,n>
-    with one grandchild per inner draw, so terms are independent and the
-    result does not depend on evaluation order.  Non-finite f outputs are
-    excluded from the average and reported in ``degenerate_count``.
+    Outer draw n comes from child stream <0,n>, its inner block from <1,n>,
+    and inner draw m from call m % 2 of the inner sampler on grandchild
+    <1,n,m//2>, so terms are independent and the result does not depend on
+    evaluation order.  Non-finite f outputs are excluded from the average
+    and reported in ``degenerate_count``.
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")

@@ -49,9 +49,11 @@ class NestedProblem:
 
     Samplers receive their stream explicitly and must consume a fixed number
     of draws per call; the estimators raise ValueError when a scalar sampler
-    takes different numbers of draws on the streams of one batch.  ``phi``
-    and ``f`` must accept numpy arrays and broadcast; all built-in models are
-    scalar-valued.
+    takes different numbers of draws on the streams of one batch.  The
+    nested estimator calls the inner sampler twice on each inner stream, for
+    two inner draws, so it must draw from that stream, not only from its
+    splits, which do not advance it.  ``phi`` and ``f`` must accept numpy
+    arrays and broadcast; all built-in models are scalar-valued.
 
     Optional oracle fields (``gamma_exact``, ``truth``, ``linear_g``) enable
     testing and the linear-collapse estimator but are not required by the

@@ -17,12 +17,14 @@ pair always consumes exactly two draws.  Bit-exactness is promised within
 one version of this implementation only, not across versions, languages or
 libraries.
 
-A stream and a batch hold the same state, a counter and the signed
-(radius, half-angle) of a pending Box-Muller pair, so
-:meth:`StreamBatch.each` can run a scalar sampler on each stream of a batch
-and leave the batch where the sampler left the streams.  A stream draws
-one word at a time in python integers, a batch one per stream in uint64
-arrays, and both run the same Box-Muller kernels, so they agree bit for bit.
+A stream and a batch hold the same state, a counter and the pending half
+(2r' cos b', b') of a Box-Muller pair, so :meth:`StreamBatch.each` can run a
+scalar sampler on each stream of a batch and leave the batch where the
+sampler left the streams.  A stream draws one word at a time in python
+integers and floats, a batch one per stream in uint64 and float64 arrays.
+Both take numpy's ``log`` and otherwise only correctly rounded IEEE
+operations (the sines and cosines are polynomials), in the same order, so
+they agree bit for bit.
 
 A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
 into the buffers of its thread's :class:`Workspace`, so a loop that draws
@@ -111,19 +113,50 @@ def _radius(u: np.ndarray) -> np.ndarray:
     return np.sqrt(u, out=u)
 
 
-def _box_muller(u: np.ndarray, w: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First normals of Box-Muller pairs into `out`; returns the pairs' (r', b').
+# Coefficients, highest first, of cos x = 1 + z P(z) and sin x = x + x z Q(z)
+# in z = x^2 on [-pi/4, pi/4] (fdlibm's __kernel_cos and __kernel_sin; each
+# is within 1 ulp of libm there).
+_COS = (-1.13596475577881948265e-11, 2.08757232129817482790e-09,
+        -2.75573143513906633035e-07, 2.48015872894767294178e-05,
+        -1.38888888888741095749e-03, 4.16666666666666019037e-02, -0.5)
+_SIN = (1.58969099521155010221e-10, -2.50507602534068634195e-08,
+        2.75573137070700676789e-06, -1.98412698298579493134e-04,
+        8.33333333332248946124e-03, -1.66666666666666324348e-01)
+
+
+def _zpoly(z, coeffs, out=None):
+    """z P(z) by Horner for `coeffs` (highest first): on a python float, or into `out`.
+
+    Augmented assignment rebinds a float and writes an array in place, so
+    both take the same operations in the same order.
+    """
+    p = z * coeffs[0] if out is None else np.multiply(z, coeffs[0], out=out)
+    for c in coeffs[1:]:
+        p += c
+        p *= z
+    return p
+
+
+def _cos(b, out=None, z=None):
+    """cos b on [-pi/4, pi/4): of a python float, or into `out` with `z` as scratch."""
+    c = _zpoly(b * b if z is None else np.multiply(b, b, out=z), _COS, out)
+    c += 1.0
+    return c
+
+
+def _box_muller(u: np.ndarray, w: np.ndarray, out: np.ndarray, t: np.ndarray) -> tuple:
+    """First normals of Box-Muller pairs into `out`; returns the pairs' pending (t, b').
 
     `u` holds each pair's first uniform and `w` the raw 64-bit word of its
     second draw.  The radius r = sqrt(-2 log(1 - u)) is negated by bit 0 of
     `w`, giving r', and the half-angle b = (w >> 11) * pi/4 * 2**-53 in
     [0, pi/4) by bit 1, giving b'.  As 2b' is uniform on (-pi/2, pi/2) and
     r' is signed, the angle of (r', 2b') is uniform on the circle, so
-    r' cos 2b' = r' (2 cos^2 b' - 1), written here, and r' sin 2b' =
-    r' 2 sin b' cos b', from :func:`_sine_branch`, are independent standard
-    normals.  Cosines and sines are taken on [0, pi/4) only, the range on
-    which libm's are cheapest.  `u` becomes r' and `w` becomes b' in place;
-    `out` (float64, of their shape) is also the scratch for the sign bits.
+    r' cos 2b' = t cos b' - r', written here, and r' sin 2b' = t sin b',
+    from :func:`_sine_branch`, are independent standard normals, where
+    t = 2 r' cos b'.  `u` becomes r' and `w` becomes b' in place, and `t`
+    (float64, of their shape, as is `out`) receives t; both are scratch
+    first.  :func:`_box_muller_float` is the same on python numbers.
     """
     r = _radius(u)
     signs = out.view(np.uint64)
@@ -136,21 +169,42 @@ def _box_muller(u: np.ndarray, w: np.ndarray, out: np.ndarray) -> tuple[np.ndarr
     b = np.multiply(w, _TO_HALF_ANGLE, out=w.view(np.float64))
     b_bits = b.view(np.uint64)
     b_bits ^= signs
-    np.cos(b, out=out)
-    out *= out
-    out *= 2.0
-    out -= 1.0
-    out *= r
-    return r, b
+    c = _cos(b, out, t)
+    np.multiply(r, c, out=t)
+    t *= 2.0
+    c *= t
+    c -= r
+    return t, b
 
 
-def _sine_branch(r: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Second normals r' 2 sin b' cos b' of pairs from `_box_muller` into `out`; b' becomes cos b'."""
-    np.sin(b, out=out)
-    out *= r
-    out *= 2.0
-    out *= np.cos(b, out=b)
-    return out
+def _box_muller_float(u: float, w: int) -> tuple:
+    """(first normal, pending (t, b')) of one pair, as :func:`_box_muller` computes it."""
+    r = math.sqrt(float(np.log(np.float64(1.0 - u))) * -2.0)
+    if w & 1:
+        r = -r
+    b = (w >> 11) * _TO_HALF_ANGLE
+    if w & 2:
+        b = -b
+    c = _cos(b)
+    t = r * c * 2.0
+    return t * c - r, (t, b)
+
+
+def _sine_branch(t, b, out=None):
+    """Second normals t sin b' of pairs from `_box_muller`: of python floats, or into `out`.
+
+    t sin b' is taken as v + v z Q(z) with v = t b' and z = b'^2; with
+    arrays, t becomes v and b' becomes z in place.  At t = 1, v = b' and
+    this is the polynomial sine itself.
+    """
+    if out is None:
+        v, z = t * b, b * b
+    else:
+        v, z = np.multiply(t, b, out=t), np.multiply(b, b, out=b)
+    s = _zpoly(z, _SIN, out)
+    s *= v
+    s += v
+    return s
 
 
 # References a pooled buffer has from the pool's own list, the scan's loop
@@ -211,8 +265,8 @@ class Workspace:
 class RngStream:
     """One reproducible random stream, identified by (root_seed, path).
 
-    Its pending Box-Muller pair is two one-element arrays, as its normals
-    come from the batch kernels; ``split`` never advances the stream.
+    Its pending Box-Muller pair is two python floats, from the same
+    operations as a batch's; ``split`` never advances the stream.
     """
 
     __slots__ = ("root_seed", "path", "_key", "_counter", "_pending")
@@ -226,7 +280,7 @@ class RngStream:
                 _key = _child_key_int(_key, i)
         self._key = _key
         self._counter = 0
-        self._pending: tuple[np.ndarray, np.ndarray] | None = None
+        self._pending: tuple[float, float] | None = None
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.root_seed}, path={list(self.path)}, counter={self._counter})"
@@ -254,14 +308,11 @@ class RngStream:
         return (self._word() >> 11) * _TO_UNIT
 
     def next_gaussian(self) -> float:
-        out = np.empty(1)
         if self._pending is None:
-            w = np.array([self._word(), self._word()], dtype=np.uint64)
-            self._pending = _box_muller(_to_unit(w[:1], np.empty(1)), w[1:], out)
-        else:
-            (r, b), self._pending = self._pending, None
-            _sine_branch(r, b.copy(), out)  # a copy: b may view a batch's pending pair
-        return float(out[0])
+            g, self._pending = _box_muller_float(self.next_uniform(), self._word())
+            return g
+        (t, b), self._pending = self._pending, None
+        return _sine_branch(t, b)
 
 
 class StreamBatch:
@@ -287,7 +338,7 @@ class StreamBatch:
         except AttributeError:
             self.workspace = _THREAD.workspace = Workspace(BUFFER_SIZE)
         self._counter = 0
-        # (r', b') of the Box-Muller pair whose sine branch is next.
+        # (2r' cos b', b') of the Box-Muller pair whose sine branch is next.
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -333,10 +384,10 @@ class StreamBatch:
         if self._pending is None:
             u, w = self.uniforms(), self._bits()
             out = self.workspace.take(self.shape, np.float64)
-            self._pending = _box_muller(u, w, out)
+            self._pending = _box_muller(u, w, out, self.workspace.take(self.shape, np.float64))
         else:
-            (r, b), self._pending = self._pending, None
-            out = _sine_branch(r, b, self.workspace.take(self.shape, np.float64))
+            (t, b), self._pending = self._pending, None
+            out = _sine_branch(t, b, self.workspace.take(self.shape, np.float64))
         return out
 
     def each(self, draw: Callable, *args) -> np.ndarray:
@@ -350,14 +401,14 @@ class StreamBatch:
         their seed paths.
         """
         cols = [np.broadcast_to(a, self.shape).ravel().tolist() for a in args]
-        pending = None if self._pending is None else [a.ravel() for a in self._pending]
+        pending = None if self._pending is None else [a.ravel().tolist() for a in self._pending]
         out = np.empty(self.keys.size)
         states, left = set(), []
         for i, key in enumerate(self.keys.ravel().tolist()):
             s = RngStream(0, (), key)
             s._counter = self._counter
             if pending is not None:
-                s._pending = (pending[0][i:i + 1], pending[1][i:i + 1])
+                s._pending = (pending[0][i], pending[1][i])
             out[i] = draw(s, *(c[i] for c in cols))
             states.add((s._counter, s._pending is None))
             left.append(s._pending)
@@ -366,7 +417,7 @@ class StreamBatch:
         if states:
             self._counter, idle = states.pop()
             self._pending = None if idle else tuple(
-                np.concatenate(a).reshape(self.shape) for a in zip(*left))
+                np.array(a).reshape(self.shape) for a in zip(*left))
         return out.reshape(self.shape)
 
 

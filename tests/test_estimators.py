@@ -55,14 +55,15 @@ def test_nmc_single_draw_definition():
 def test_scalar_double_loop_bit_identical_to_nmc(N, M):
     # The naive reference for the block driver's stream layout and reduction
     # order: one scalar draw at a time, outer draw n from <0,n>, inner draw m
-    # from <1,n,m>, and both means taken by np.mean.
+    # as call m % 2 of the inner sampler on <1,n,m//2>, and both means taken
+    # by np.mean.  Odd M leaves the last pair's second call unmade.
     p = make_gauss_log()
     s = make_root(27)
     terms = []
     for n in range(N):
         y = p.outer_sampler(s.split(0).split(n))
-        w = np.mean([p.phi(y, p.inner_sampler(s.split(1).split(n).split(m), y))
-                     for m in range(M)])
+        pairs = [s.split(1).split(n).split(k) for k in range((M + 1) // 2)]
+        w = np.mean([p.phi(y, p.inner_sampler(pairs[m // 2], y)) for m in range(M)])
         terms.append(p.f(y, w))
     e = nmc_estimate(p, N, M, s)
     assert e.value == np.mean(terms)
@@ -111,7 +112,7 @@ def test_nmc_repeated_calls_bit_identical():
 
 
 @pytest.mark.parametrize("N,M", [(1, 1), (1, 9), (9, 1), (7, 70), (111, 3),
-                                 (2, 70000)])
+                                 (2, 70000), (1, 65537)])
 def test_nmc_batch_path_matches_scalar_path(N, M):
     p = CATALOG["linear-gauss"]()
     q = _scalar_variant(p)

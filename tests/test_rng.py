@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestmc.rng import (RngStream, Workspace, index_hash, make_root, next_gaussian, next_uniform,
-                        split)
+from nestmc.rng import (RngStream, Workspace, _cos, _sine_branch, index_hash, make_root,
+                        next_gaussian, next_uniform, split)
 
 
 def _uniforms(stream, n):
@@ -135,10 +135,28 @@ def test_stream_fingerprint():
         "0x1.fc8c85ac02af9p-1", "0x1.96093709a81c4p-1"], _STREAM_CHANGE
     normals = [_gaussians(make_root(1), 4), _gaussians(make_root(1).split(3), 4)]
     assert [[float.hex(g) for g in n] for n in normals] == [
-        ["0x1.b3c19836bb735p+0", "-0x1.2e8ea6b7c4f58p+0",
-         "-0x1.a3f818336b7dbp+0", "0x1.21e321c26379bp-1"],
-        ["0x1.d59fb7b071141p-3", "-0x1.3ff3c0e2bad84p-1",
-         "0x1.cedb9ae46c8ddp-1", "0x1.717fb6f08fd49p-6"]], _STREAM_CHANGE
+        ["0x1.b3c19836bb736p+0", "-0x1.2e8ea6b7c4f58p+0",
+         "-0x1.a3f818336b7dcp+0", "0x1.21e321c26379bp-1"],
+        ["0x1.d59fb7b071140p-3", "-0x1.3ff3c0e2bad84p-1",
+         "0x1.cedb9ae46c8dep-1", "0x1.717fb6f08fd49p-6"]], _STREAM_CHANGE
+
+
+def _ulps(a, b):
+    # Same-signed float64 arrays: bit patterns differ by their ulp distance.
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_polynomial_sincos_within_one_ulp_of_numpy():
+    # The Box-Muller kernels take cos and sin on [-pi/4, pi/4) from
+    # polynomials; a dense grid pins them to numpy's within 1 ulp, on
+    # arrays (in place) and on python floats alike.
+    x = np.linspace(-np.pi / 4, np.pi / 4, 2_000_001)[:-1]
+    cos = _cos(x, np.empty_like(x), np.empty_like(x))
+    sin = _sine_branch(np.ones_like(x), x.copy(), np.empty_like(x))
+    assert _ulps(cos, np.cos(x)).max() <= 1
+    assert _ulps(sin, np.sin(x)).max() <= 1
+    for i in range(0, x.size, 9973):
+        assert (_cos(float(x[i])), _sine_branch(1.0, float(x[i]))) == (cos[i], sin[i])
 
 
 def test_box_muller_pair_is_two_independent_normals():
