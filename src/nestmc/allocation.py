@@ -185,19 +185,25 @@ def parse_policy(spec: str) -> AllocationPolicy:
             if not eq or not key:
                 raise ValueError(f"bad policy argument {item!r} in {spec!r}")
             args[key.strip()] = val.strip()
-    try:
-        if kind == "tau":
-            alpha = float(args.pop("alpha"))
-            c = float(args.pop("c", "1"))
-            policy: AllocationPolicy = TauPower(alpha=alpha, c=c)
-        elif kind == "fixed-inner":
-            policy = FixedInner(M0=int(args.pop("M")))
-        elif kind == "fixed-outer":
-            policy = FixedOuter(N0=int(args.pop("N")))
-        else:
-            raise ValueError(f"unknown policy kind {kind!r} in {spec!r}")
-    except KeyError as missing:
-        raise ValueError(f"policy {spec!r} is missing parameter {missing}") from None
+
+    def arg(key: str, cast, default: str | None = None):
+        val = args.pop(key, default)
+        if val is None:
+            raise ValueError(f"policy {spec!r} is missing parameter {key!r}")
+        try:
+            return cast(val)
+        except ValueError:
+            raise ValueError(f"policy {spec!r} parameter {key} must be {cast.__name__}, "
+                             f"got {val!r}") from None
+
+    if kind == "tau":
+        policy: AllocationPolicy = TauPower(alpha=arg("alpha", float), c=arg("c", float, "1"))
+    elif kind == "fixed-inner":
+        policy = FixedInner(M0=arg("M", int))
+    elif kind == "fixed-outer":
+        policy = FixedOuter(N0=arg("N", int))
+    else:
+        raise ValueError(f"unknown policy kind {kind!r} in {spec!r}")
     if args:
         raise ValueError(f"unknown policy parameters {sorted(args)} in {spec!r}")
     return policy

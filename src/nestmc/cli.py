@@ -115,19 +115,26 @@ def _get_model(name: str) -> NestedProblem:
     return CATALOG[name]()
 
 
-def _parse_grid(spec: str) -> List[int]:
+def _ints(flag: str, spec: str, parts) -> List[int]:
+    """`parts` of `spec`, the value of `flag`, as ints; a ValueError names the flag."""
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise ValueError(f"{flag} takes integers, got {spec!r}") from None
+
+
+def _parse_grid(flag: str, spec: str) -> List[int]:
     if not spec:
-        raise ValueError("empty grid")
+        raise ValueError(f"{flag} is an empty grid")
     parts = spec.split(":")
     if len(parts) == 3:
-        lo, hi, points = (int(x) for x in parts)
-        return budget_grid(lo, hi, points)
+        return budget_grid(*_ints(flag, spec, parts))
     if len(parts) == 1:
-        vals = [int(x) for x in spec.split(",") if x.strip() != ""]
+        vals = _ints(flag, spec, (x for x in spec.split(",") if x.strip() != ""))
         if not vals:
-            raise ValueError(f"empty grid {spec!r}")
+            raise ValueError(f"{flag} is an empty grid, got {spec!r}")
         return vals
-    raise ValueError(f"grid must be lo:hi:points or a comma list, got {spec!r}")
+    raise ValueError(f"{flag} must be lo:hi:points or a comma list, got {spec!r}")
 
 
 def _parse_schedule(spec: Optional[str]) -> Optional[Dict[int, int]]:
@@ -137,8 +144,9 @@ def _parse_schedule(spec: Optional[str]) -> Optional[Dict[int, int]]:
     for item in spec.split(","):
         T_str, sep, R_str = item.partition(":")
         if not sep:
-            raise ValueError(f"rep schedule entries are T:R, got {item!r}")
-        sched[int(T_str)] = int(R_str)
+            raise ValueError(f"--rep-schedule entries are T:R, got {item!r}")
+        T, R = _ints("--rep-schedule", item, (T_str, R_str))
+        sched[T] = R
     return sched
 
 
@@ -238,7 +246,7 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
     policy = parse_policy(cfg.policy)
     seed = _resolve_seed(cfg)
-    report = run_convergence(p, policy, _parse_grid(cfg.budgets), cfg.reps,
+    report = run_convergence(p, policy, _parse_grid("--budgets", cfg.budgets), cfg.reps,
                              make_root(seed), rep_schedule=_parse_schedule(cfg.rep_schedule),
                              drop_smallest=cfg.drop_smallest, workers=cfg.workers)
     _write_report(cfg, _CONVERGE_COLS, _converge_rows(report),
@@ -249,7 +257,7 @@ def cmd_converge(cfg: argparse.Namespace) -> int:
 def cmd_bias(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
     seed = _resolve_seed(cfg)
-    report = run_bias(p, cfg.N, _parse_grid(cfg.Ms), cfg.reps, make_root(seed),
+    report = run_bias(p, cfg.N, _parse_grid("--Ms", cfg.Ms), cfg.reps, make_root(seed),
                       workers=cfg.workers)
     rows = [[r.M, r.N, r.reps, r.mean_error, r.se, r.predicted] for r in report.rows]
     _write_report(cfg, _BIAS_COLS, rows, (report.model, None, seed),
@@ -277,7 +285,7 @@ def cmd_collapse(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
     seed = _resolve_seed(cfg)
     root = make_root(seed)
-    budgets = _parse_grid(cfg.budgets)
+    budgets = _parse_grid("--budgets", cfg.budgets)
     schedule = _parse_schedule(cfg.rep_schedule)
     # child 0 drives the collapsed sweep, child 1 the nested one
     collapsed = run_collapsed_convergence(p, budgets, cfg.reps, root.split(0),

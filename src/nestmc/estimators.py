@@ -6,12 +6,12 @@ on child <0,n>, inner block n on child <1,n>, inner draws 2k and 2k+1 on
 grandchild k, as the inner sampler's first and second call there) makes
 results independent of evaluation order and worker count.
 
-One block driver (``_replicate`` over ``_outer_terms``) draws every nested
-and collapsed estimate, for one replication or a span of a row's.
-Its blocks depend on (N, M) alone, and every mean runs over a contiguous
-last axis, so block grouping never changes a value.  Every batch draws
-into its thread's block-sized ``Workspace``, so the blocks of a span, and
-the spans after it, reuse the same buffers.  Samplers come from
+One block loop (``_replicate``) draws every nested and collapsed estimate,
+for one replication or a span of a row's.  Its blocks depend on (N, M)
+alone, and every mean runs over a contiguous last axis, so block grouping
+never changes a value.  Every array of a block comes from ``rng.take``, a
+pool of block-sized buffers per thread, so the blocks of a span, and the
+spans after it, reuse the same buffers.  Samplers come from
 ``NestedProblem.batch_samplers``: a model without batch samplers has its
 scalar ones run stream by stream under the same blocks, with the same
 values bit for bit.
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .problem import NestedProblem
-from .rng import BUFFER_SIZE, RngStream, index_hash
+from .rng import BUFFER_SIZE, RngStream, StreamBatch, index_hash, take
 
 __all__ = [
     "Estimate",
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 # Max elements per sampling block and max inner draws per pairwise mean:
-# one workspace buffer, sized to stay cache-resident (the draw pipeline
+# one pooled buffer, sized to stay cache-resident (the draw pipeline
 # makes many passes over each block).  Block edges depend only on (N, M),
 # never on worker count, so blocking cannot affect determinism.
 _CHUNK = BUFFER_SIZE
@@ -84,12 +84,11 @@ def _finalize(fv: np.ndarray) -> tuple:
     return values, degenerate
 
 
-def _estimate(fv: np.ndarray, s: RngStream, n_inner: int, total_draws: int) -> Estimate:
-    """Estimate from one replication's outer terms, reduced by _finalize."""
-    values, degenerate = _finalize(fv[None])
-    return Estimate(value=float(values[0]), n_outer=fv.size, n_inner=n_inner,
-                    total_draws=total_draws, seed_path=s.path,
-                    degenerate_count=int(degenerate[0]))
+def _estimate(terms: Callable, s: RngStream, N: int, M: int) -> Estimate:
+    """Estimate of the one replication on stream `s`, M inner draws per outer draw."""
+    values, degenerate = _replicate(terms, N, M, s.as_batch())
+    return Estimate(value=float(values[0]), n_outer=N, n_inner=M, total_draws=N * M,
+                    seed_path=s.path, degenerate_count=round(degenerate[0] * N))
 
 
 def _chunked_mean(values_for: Callable, count: int):
@@ -106,38 +105,23 @@ def _chunked_mean(values_for: Callable, count: int):
     return np.add.reduce(np.stack(parts, axis=-1), axis=-1) / count
 
 
-def _outer_terms(terms: Callable, reps, N: int, M: int) -> np.ndarray:
-    """The N outer terms of every replication in `reps`, on the last axis.
+def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
+    """(values, degenerate fractions) of the replications on the streams of `reps`.
 
-    `reps` is a StreamBatch of replication streams (shape () for one), and
-    terms(reps, idx) gives the terms of outer draws `idx` of each.  Outer
-    draws go max(1, _CHUNK // M) at a time.
+    terms(block, idx) gives the terms of outer draws `idx` of each stream
+    of `block`.  Blocks hold max(1, _REP_BLOCK // (N*M)) replications by
+    min(N, max(1, _CHUNK // M)) outer draws.
     """
-    step = max(1, _CHUNK // M)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.concatenate([terms(reps, np.arange(lo, min(lo + step, N), dtype=np.uint64))
-                               for lo in range(0, N, step)], axis=-1)
-
-
-def _replicate(terms: Callable, N: int, M: int, row: RngStream, lo: int, hi: int) -> tuple:
-    """(values, degenerate fractions) of replications lo..hi-1 on row.split(r).
-
-    Replications are drawn max(1, _REP_BLOCK // (N*M)) at a time.
-    """
-    step = max(1, _REP_BLOCK // (N * M))
-    values = np.empty(hi - lo)
-    degenerate = np.empty(hi - lo)
-    for a in range(lo, hi, step):
-        b = min(a + step, hi)
-        reps = row.split_many(np.arange(a, b, dtype=np.uint64))
-        values[a - lo:b - lo], degenerate[a - lo:b - lo] = _finalize(
-            _outer_terms(terms, reps, N, M))
+    keys = reps.keys.reshape(-1)
+    step, outer = max(1, _REP_BLOCK // (N * M)), max(1, _CHUNK // M)
+    values, degenerate = np.empty(keys.size), np.empty(keys.size)
+    for a in range(0, keys.size, step):
+        block = StreamBatch(keys[a:a + step])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            fv = np.concatenate([terms(block, np.arange(lo, min(lo + outer, N), dtype=np.uint64))
+                                 for lo in range(0, N, outer)], axis=-1)
+        values[a:a + step], degenerate[a:a + step] = _finalize(fv)
     return values, degenerate / N
-
-
-def _single(terms: Callable, s: RngStream, N: int, M: int) -> np.ndarray:
-    """The N outer terms of the one replication on stream `s`."""
-    return _outer_terms(terms, s.as_batch(), N, M)
 
 
 @lru_cache(maxsize=8)
@@ -153,7 +137,7 @@ def _inner_hashes(K: int) -> np.ndarray:
 
 
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
-    """Nested-estimator terms f(y_n, inner mean of M draws) for _outer_terms.
+    """Nested-estimator terms f(y_n, inner mean of M draws) for _replicate.
 
     Grandchild k of an inner block serves inner draws 2k and 2k+1, as the
     first and second call of the inner sampler on it; for odd M the second
@@ -169,7 +153,7 @@ def _nested_terms(p: NestedProblem, M: int) -> Callable:
         # the second, so neither call holds both arrays besides its own.
         pairs = inner.split_hashed(mhash[lo // 2:(hi + 1) // 2])
         first = inner_batch(pairs, yb)
-        z = pairs.workspace.take(pairs.shape[:-1] + (hi - lo,), np.float64)
+        z = take(pairs.shape[:-1] + (hi - lo,), np.float64)
         z[..., 0::2] = first
         del first
         z[..., 1::2] = inner_batch(pairs, yb)[..., :(hi - lo) // 2]
@@ -194,7 +178,7 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
-    return _estimate(_single(_nested_terms(p, M), s, N, M), s, M, N * M)
+    return _estimate(_nested_terms(p, M), s, N, M)
 
 
 def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
@@ -207,7 +191,7 @@ def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
-    return _replicate(_nested_terms(p, M), N, M, row, lo, hi)
+    return _replicate(_nested_terms(p, M), N, M, row.split_many(np.arange(lo, hi)))
 
 
 def _collapsed_terms(p: NestedProblem) -> Callable:
@@ -237,7 +221,7 @@ def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
     from child stream n; total_draws = N.
     """
     _check_collapse(p, N)
-    return _estimate(_single(_collapsed_terms(p), s, N, 1), s, 1, N)
+    return _estimate(_collapsed_terms(p), s, N, 1)
 
 
 def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
@@ -249,4 +233,4 @@ def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
     the nested estimator.
     """
     _check_collapse(p, N)
-    return _replicate(_collapsed_terms(p), N, 1, row, lo, hi)
+    return _replicate(_collapsed_terms(p), N, 1, row.split_many(np.arange(lo, hi)))

@@ -27,9 +27,10 @@ operations (the sines and cosines are polynomials), in the same order, so
 they agree bit for bit.
 
 A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
-into the buffers of its thread's :class:`Workspace`, so a loop that draws
-block after block of the same size reuses the same memory instead of
-allocating (and, for large blocks, page-faulting) fresh arrays each time.
+into arrays from :func:`take`, which serves them from the drawing thread's
+own buffers, so a loop that draws block after block of the same size
+reuses the same memory instead of allocating (and, for large blocks,
+page-faulting) fresh arrays each time.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import numpy as np
 __all__ = [
     "RngStream",
     "StreamBatch",
-    "Workspace",
+    "take",
     "make_root",
     "split",
     "next_uniform",
@@ -76,8 +77,9 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_u64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Stafford mix13 on a uint64 array, in place; `tmp` (z's shape) is scratch."""
+def _mix_u64(z: np.ndarray) -> np.ndarray:
+    """Stafford mix13 on a uint64 array, in place, with scratch from `take`."""
+    tmp = take(z.shape)
     np.right_shift(z, _S30, out=tmp)
     z ^= tmp
     z *= _U_MIX_A
@@ -95,8 +97,7 @@ def _child_key_int(key: int, index: int) -> int:
 
 def index_hash(indices) -> np.ndarray:
     """Pre-hashed split indices for reuse across many `split_hashed` calls."""
-    h = np.asarray(indices, dtype=np.uint64) + _U_GOLDEN
-    return _mix_u64(h, np.empty_like(h))
+    return _mix_u64(np.asarray(indices, dtype=np.uint64) + _U_GOLDEN)
 
 
 def _to_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -215,51 +216,40 @@ def _idle_refs() -> int:
 
 
 _IDLE_REFS = _idle_refs()
-# Buffers one workspace keeps at most, and the smallest request it serves
+# Buffers one thread keeps at most, and the smallest request it serves
 # from them.  Smaller arrays are left to malloc, whose heap recycles them
 # without faults; pooling them would pin a whole buffer each.
 _POOL_MAX = 8
 _POOL_MIN = 1 << 12
-# Elements per buffer of a thread's workspace: the largest array a batch
-# draws into pooled memory.
+# Elements per pooled buffer: the largest array a batch draws into pooled
+# memory.
 BUFFER_SIZE = 1 << 16
-# The workspace of each thread, made on its first batch.
+# Each thread's list of pooled buffers, made on its first pooled request.
 _THREAD = threading.local()
 
 
-class Workspace:
-    """Reusable uint64 buffers of `size` elements for the arrays of batched draws.
+def take(shape: tuple, dtype=np.uint64) -> np.ndarray:
+    """An uninitialised array of `shape` (uint64 or float64) from this thread's buffers.
 
-    `take` returns a view of a pooled buffer that no live array still views
-    (checked by reference count), so an array handed out stays its holder's
-    for as long as it is referenced, and a buffer is recycled as soon as the
-    last view of it is dropped.  A request larger than `size`, smaller than
-    `_POOL_MIN` elements or beyond `_POOL_MAX` live buffers is a plain
-    allocation.  A workspace must not be used by two threads at once.
+    It views a buffer of the calling thread's pool that no live array still
+    views (checked by reference count), so an array handed out stays its
+    holder's for as long as it is referenced, and a buffer is recycled as
+    soon as the last view of it is dropped.  A request larger than
+    `BUFFER_SIZE`, smaller than `_POOL_MIN` elements or beyond `_POOL_MAX`
+    live buffers is a plain allocation.  A pool is only read by its own
+    thread, so arrays from it may be handed to any thread.
     """
-
-    __slots__ = ("size", "_pool")
-
-    def __init__(self, size: int):
-        self.size = size
-        self._pool: list = []
-
-    def take(self, shape: tuple, dtype=np.uint64) -> np.ndarray:
-        """An uninitialised array of `shape` (uint64 or float64) for the caller."""
-        n = math.prod(shape)
-        if _POOL_MIN <= n <= self.size:
-            for buf in self._pool:
-                if sys.getrefcount(buf) <= _IDLE_REFS:
-                    return buf[:n].view(dtype).reshape(shape)
-            if len(self._pool) < _POOL_MAX:
-                buf = np.empty(self.size, dtype=np.uint64)
-                self._pool.append(buf)
+    n = math.prod(shape)
+    if _POOL_MIN <= n <= BUFFER_SIZE:
+        pool = _THREAD.__dict__.setdefault("pool", [])
+        for buf in pool:
+            if sys.getrefcount(buf) <= _IDLE_REFS:
                 return buf[:n].view(dtype).reshape(shape)
-        return np.empty(shape, dtype=dtype)
-
-    def mix(self, z: np.ndarray) -> np.ndarray:
-        """`_mix_u64` of `z` in place, with scratch from this workspace."""
-        return _mix_u64(z, self.take(z.shape))
+        if len(pool) < _POOL_MAX:
+            buf = np.empty(BUFFER_SIZE, dtype=np.uint64)
+            pool.append(buf)
+            return buf[:n].view(dtype).reshape(shape)
+    return np.empty(shape, dtype=dtype)
 
 
 class RngStream:
@@ -325,18 +315,14 @@ class StreamBatch:
     normal per stream never pay for the sine branch.
 
     The arrays a batch makes (child keys, raw bits, uniforms, normals and
-    the pending Box-Muller pair) are taken from `workspace`, the workspace
-    of the thread that made the batch, so a batch is drawn on that thread.
+    the pending Box-Muller pair) come from :func:`take` on the thread that
+    draws them, so a batch may be made on one thread and drawn on another.
     """
 
-    __slots__ = ("keys", "workspace", "_counter", "_pending")
+    __slots__ = ("keys", "_counter", "_pending")
 
     def __init__(self, keys: np.ndarray):
         self.keys = keys
-        try:
-            self.workspace = _THREAD.workspace
-        except AttributeError:
-            self.workspace = _THREAD.workspace = Workspace(BUFFER_SIZE)
         self._counter = 0
         # (2r' cos b', b') of the Box-Muller pair whose sine branch is next.
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
@@ -347,9 +333,7 @@ class StreamBatch:
 
     def _child(self, parent: np.ndarray, hashed, shape: tuple) -> "StreamBatch":
         """Batch of keys mix(parent ^ hashed), broadcast to `shape`."""
-        ws = self.workspace
-        keys = np.bitwise_xor(parent, hashed, out=ws.take(shape))
-        return StreamBatch(ws.mix(keys))
+        return StreamBatch(_mix_u64(np.bitwise_xor(parent, hashed, out=take(shape))))
 
     def split(self, index: int) -> "StreamBatch":
         """Child `index` of every stream in the batch; the shape is unchanged."""
@@ -359,8 +343,7 @@ class StreamBatch:
     def split_many(self, indices) -> "StreamBatch":
         """Child batch of shape `self.shape + indices.shape`."""
         idx = np.asarray(indices, dtype=np.uint64)
-        ws = self.workspace
-        hashed = ws.mix(np.add(idx, _U_GOLDEN, out=ws.take(idx.shape)))
+        hashed = _mix_u64(np.add(idx, _U_GOLDEN, out=take(idx.shape)))
         return self._child(self.keys.reshape(self.shape + (1,) * idx.ndim), hashed,
                            self.shape + idx.shape)
 
@@ -370,24 +353,23 @@ class StreamBatch:
 
     def _bits(self) -> np.ndarray:
         """The raw 64-bit word of each stream's next draw."""
-        ws = self.workspace
         step = np.uint64(((self._counter + 1) * _GOLDEN) & _MASK64)
         self._counter += 1
-        return ws.mix(np.add(self.keys, step, out=ws.take(self.shape)))
+        return _mix_u64(np.add(self.keys, step, out=take(self.shape)))
 
     def uniforms(self) -> np.ndarray:
         """One uniform in [0, 1) from each stream."""
-        return _to_unit(self._bits(), self.workspace.take(self.shape, np.float64))
+        return _to_unit(self._bits(), take(self.shape, np.float64))
 
     def gaussians(self) -> np.ndarray:
         """One standard normal from each stream."""
         if self._pending is None:
             u, w = self.uniforms(), self._bits()
-            out = self.workspace.take(self.shape, np.float64)
-            self._pending = _box_muller(u, w, out, self.workspace.take(self.shape, np.float64))
+            out = take(self.shape, np.float64)
+            self._pending = _box_muller(u, w, out, take(self.shape, np.float64))
         else:
             (t, b), self._pending = self._pending, None
-            out = _sine_branch(t, b, self.workspace.take(self.shape, np.float64))
+            out = _sine_branch(t, b, take(self.shape, np.float64))
         return out
 
     def each(self, draw: Callable, *args) -> np.ndarray:

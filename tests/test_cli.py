@@ -133,6 +133,23 @@ def test_config_errors_exit_2(capsys, argv):
         assert err.count("\n") == 1 and "linear_g" in err
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["converge", "--budgets", "16,x"], ["--budgets"]),
+    (["converge", "--budgets", "16:64:1e3"], ["--budgets"]),
+    (["bias", "--N", "8", "--Ms", "2,x"], ["--Ms"]),
+    (["converge", "--budgets", "16,64", "--rep-schedule", "x:3"], ["--rep-schedule"]),
+    (["converge", "--budgets", "16,64", "--rep-schedule", "16:3:4"], ["--rep-schedule"]),
+    (["converge", "--budgets", "16,64", "--policy", "tau:alpha=x"], ["'tau:alpha=x'", "alpha"]),
+    (["allocate", "--T", "64", "--policies", "fixed-inner:M=x"], ["'fixed-inner:M=x'", "M"]),
+])
+def test_unparsable_numbers_name_their_flag(capsys, argv, names):
+    code, out, err = run_cli(capsys, argv[:1] + ["--model", "gauss-log"] + argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert all(name in err for name in names), err
+    assert "invalid literal" not in err and "could not convert" not in err
+
+
 def test_overflowing_tau_policy_splits_one_by_one(capsys):
     # tau(M) = M**1e308 overflows a float for every M >= 2, so only M = 1 fits.
     assert split_budget(TauPower(1e308, 1), 16) == (1, 1)

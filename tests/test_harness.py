@@ -150,7 +150,7 @@ def test_convergence_worker_count_is_invisible():
 
 def test_convergence_worker_count_is_invisible_above_one_chunk():
     # M = 70000 > 2**16: each outer draw's inner draws span two chunks, and
-    # each of the two threads draws them into its own workspace.
+    # each of the two threads draws them into its own pooled buffers.
     p = CATALOG["gauss-log"]()
     run = lambda workers: run_convergence(p, FixedOuter(2), [8, 140000], 6, make_root(12),
                                           workers=workers)

@@ -1,5 +1,6 @@
 """Splittable stream determinism, distribution sanity, and batch/scalar parity."""
 
+import sys
 import threading
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nestmc.rng import (RngStream, Workspace, _cos, _sine_branch, index_hash, make_root,
-                        next_gaussian, next_uniform, split)
+from nestmc import rng
+from nestmc.rng import (RngStream, _cos, _sine_branch, index_hash, make_root, next_gaussian,
+                        next_uniform, split, take)
 
 
 def _uniforms(stream, n):
@@ -267,20 +269,25 @@ def test_each_rejects_a_variable_number_of_draws():
         make_root(20).split_many(np.arange(8, dtype=np.uint64)).each(odd_pending)
 
 
-# Large enough for the workspace to serve it from its pooled buffers.
+# Large enough for `take` to serve it from the thread's pooled buffers.
 _POOLED = np.arange(1 << 13, dtype=np.uint64)
+
+
+def _pooled(*arrays):
+    """Whether every array views a buffer of the calling thread's pool."""
+    pool = rng._THREAD.pool
+    return all(any(np.shares_memory(a, buf) for buf in pool) for a in arrays)
 
 
 def test_pending_normal_survives_workspace_reuse():
     # A batch's second normal comes from the Box-Muller pair of its first;
-    # other batches drawing into the same (this thread's) workspace in
+    # other batches drawing into the same (this thread's) buffers in
     # between must not change it.
     a = make_root(3).split_many(_POOLED)
     a.gaussians()
     for seed in (4, 5):
         b = make_root(seed).split_many(_POOLED)
-        assert b.workspace is a.workspace
-        b.uniforms()
+        assert _pooled(*a._pending, b.keys, b.uniforms())
         b.gaussians()
         b.gaussians()
     fresh = make_root(3).split_many(_POOLED)
@@ -294,7 +301,7 @@ def test_workspace_never_overwrites_a_held_draw():
     copies = [k.copy() for k in kept]
     for seed in range(8):
         other = make_root(seed).split_many(_POOLED)
-        assert other.workspace is batch.workspace
+        assert _pooled(other.keys, *kept)
         other.split(2).gaussians()
         other.uniforms()
     for k, c in zip(kept, copies):
@@ -305,14 +312,17 @@ def test_workspace_never_overwrites_a_held_draw():
 
 
 def test_batches_draw_into_their_threads_workspace():
-    # Two threads stay alive at the barrier until both have made their
-    # batches, so two workspaces exist at once; neither is this thread's.
+    # Two threads stay alive at the barrier until both have drawn, so two
+    # pools exist at once; each thread's draws sit in its own pool, and no
+    # two pooled buffers, of those pools or this thread's, share memory.
     barrier = threading.Barrier(2)
     made = {}
 
     def work(k):
         batch = make_root(k).split_many(_POOLED)
-        made[k] = (batch.workspace, make_root(k).as_batch().workspace)
+        draws = [batch.keys, batch.uniforms(), make_root(k).as_batch().split_many(_POOLED).keys,
+                 make_root(k).split_many(_POOLED).gaussians()]
+        made[k] = (list(rng._THREAD.pool), _pooled(*draws))
         barrier.wait(timeout=60)
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
@@ -320,24 +330,67 @@ def test_batches_draw_into_their_threads_workspace():
         t.start()
     for t in threads:
         t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    (pool0, in0), (pool1, in1) = made[0], made[1]
+    assert in0 and in1
     here = make_root(0).split_many(_POOLED)
-    (a0, b0), (a1, b1) = made[0], made[1]
-    assert a0 is b0 and a1 is b1
-    assert a0 is not a1 and here.workspace is not a0 and here.workspace is not a1
-    # Two batches made on one thread, and their children, share its workspace.
-    assert make_root(1).as_batch().workspace is here.workspace
-    assert here.split(2).split_many(_POOLED).workspace is here.workspace
+    # Batches made on one thread, and their children, draw into its pool.
+    assert _pooled(here.keys, here.uniforms(), here.split(2).keys)
+    buffers = pool0 + pool1 + rng._THREAD.pool
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers) for b in buffers[i + 1:])
 
 
 def test_workspace_recycles_a_dropped_buffer():
-    ws = Workspace(1 << 14)
-    first = ws.take((1 << 13,))
-    address = first.__array_interface__["data"][0]
-    held = ws.take((1 << 13,))
-    assert held.__array_interface__["data"][0] != address
-    del first
-    again = ws.take((2, 1 << 12), np.float64)
-    assert again.__array_interface__["data"][0] == address
+    # A fresh thread's pool starts empty.
+    got = {}
+
+    def work():
+        first = take((1 << 13,))
+        got["address"] = first.__array_interface__["data"][0]
+        held = take((1 << 13,))
+        got["held"] = held.__array_interface__["data"][0]
+        del first
+        got["again"] = take((2, 1 << 12), np.float64).__array_interface__["data"][0]
+
+    t = threading.Thread(target=work)
+    t.start()
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert got["held"] != got["address"]
+    assert got["again"] == got["address"]
+
+
+def test_batch_drawn_on_another_thread_matches_its_solo_draws():
+    # Batches made here and drawn on other threads take their arrays from
+    # the drawing thread's pool; with frequent thread switches, and this
+    # thread drawing too, each must give the values it gives alone.
+    def draws(batch):
+        return [batch.uniforms().copy(), batch.gaussians().copy(), batch.gaussians().copy(),
+                batch.split(1).uniforms().copy()]
+
+    want = [draws(make_root(k).split_many(_POOLED)) for k in range(4)]
+    batches = [make_root(k).split_many(_POOLED) for k in range(4)]
+    got = {}
+
+    def work(k):
+        got[k] = draws(batches[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        here = [draws(make_root(k).split_many(_POOLED)) for k in range(4)]
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(4):
+        for g, h, w in zip(got[k], here[k], want[k]):
+            np.testing.assert_array_equal(g, w)
+            np.testing.assert_array_equal(h, w)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64 - 1),
