@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
@@ -37,7 +38,13 @@ _ALLOCATE_COLS = ["policy", "N", "M", "mse", "mse_se", "rank"]
 _COLLAPSE_COLS = ["estimator"] + _CONVERGE_COLS
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first `main` call and kept for the process.
+
+    parse_args keeps no state in the parser: each call gets a fresh namespace
+    filled from the defaults, so one parser serves every call.
+    """
     ap = argparse.ArgumentParser(
         prog="nestmc",
         description="Nested Monte Carlo experiments: convergence, bias, allocation.")

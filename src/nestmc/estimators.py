@@ -7,7 +7,9 @@ grandchild k, as the inner sampler's first and second call there) makes
 results independent of evaluation order and worker count.
 
 One block loop (``_replicate``) draws every nested and collapsed estimate,
-for one replication or a span of a row's.  Its blocks depend on (N, M)
+for one replication or a span of a row's.  One block budget, ``_CHUNK``
+(2^16 elements, one pooled buffer), sizes every block, of a small row's
+replications or a large row's outer draws.  Blocks depend on (N, M)
 alone, and every mean runs over a contiguous last axis, so block grouping
 never changes a value.  Every array of a block comes from ``rng.take``, a
 pool of block-sized buffers per thread, so the blocks of a span, and the
@@ -36,16 +38,12 @@ __all__ = [
     "collapsed_replications",
 ]
 
-# Max elements per sampling block and max inner draws per pairwise mean:
-# one pooled buffer, sized to stay cache-resident (the draw pipeline
-# makes many passes over each block).  Block edges depend only on (N, M),
-# never on worker count, so blocking cannot affect determinism.
+# The one block budget: max elements per sampling block, of a small row's
+# replications or a large row's outer draws, and max inner draws per
+# pairwise mean.  One pooled buffer, sized to stay cache-resident (the draw
+# pipeline makes many passes over each block).  Block edges depend only on
+# (N, M), never on worker count, so blocking cannot affect determinism.
 _CHUNK = BUFFER_SIZE
-
-# Max elements per replication block: rows of N*M <= _REP_BLOCK draw
-# _REP_BLOCK // (N*M) replications at a time.  Smaller than _CHUNK to keep
-# peak memory low.
-_REP_BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class Estimate:
@@ -109,11 +107,12 @@ def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     """(values, degenerate fractions) of the replications on the streams of `reps`.
 
     terms(block, idx) gives the terms of outer draws `idx` of each stream
-    of `block`.  Blocks hold max(1, _REP_BLOCK // (N*M)) replications by
-    min(N, max(1, _CHUNK // M)) outer draws.
+    of `block`.  Blocks hold max(1, _CHUNK // (N*M)) replications by
+    min(N, max(1, _CHUNK // M)) outer draws, so a small row's block fills
+    one pooled buffer, as a large row's does.
     """
     keys = reps.keys.reshape(-1)
-    step, outer = max(1, _REP_BLOCK // (N * M)), max(1, _CHUNK // M)
+    step, outer = max(1, _CHUNK // (N * M)), max(1, _CHUNK // M)
     values, degenerate = np.empty(keys.size), np.empty(keys.size)
     for a in range(0, keys.size, step):
         block = StreamBatch(keys[a:a + step])

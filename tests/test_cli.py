@@ -216,6 +216,25 @@ def test_sweep_flags_share_help(capsys):
     assert "overrides" in _option_help(collapse, "--rep-schedule")
 
 
+def test_cached_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    # One parser serves every call of the process; nothing a call parses,
+    # fails on or prints may reach the next call's namespace.
+    assert cli._build_parser() is cli._build_parser()
+    converge = ["converge", "--model", "gauss-log", "--budgets", "16,64", "--reps", "5",
+                "--seed", "3"]
+    code, first, _ = run_cli(capsys, converge)
+    assert code == 0
+    code, out, err = run_cli(capsys, ["bias", "--model", "gauss-log", "--N", "4",
+                                      "--Ms", "2,x", "--reps", "7", "--seed", "9",
+                                      "--format", "json", "--workers", "2",
+                                      "--out", str(tmp_path / "bias.json")])
+    assert (code, out) == (2, "") and "--Ms" in err
+    assert run_cli(capsys, ["--help"])[0] == 0
+    assert run_cli(capsys, ["models"])[0] == 0
+    code, again, _ = run_cli(capsys, converge)
+    assert code == 0 and again == first
+
+
 def test_degenerate_rows_exit_3(capsys, monkeypatch):
     # Integrand that is never finite: every row flags, cells say so.
     base = CATALOG["gauss-log"]()

@@ -95,9 +95,10 @@ def test_variable_draw_sampler_raises():
 
 
 def test_nmc_replications_without_batch_samplers_match_batched():
-    # A span that is not a multiple of the 2**14 // 64 = 256 replications
-    # of an 8x8 block; test_collapsed_replications_match_collapsed_estimate
-    # checks the collapsed kernel the same way.
+    # A span inside one block of 2**16 // 64 = 1024 replications of 8x8;
+    # test_nmc_replications_match_nmc_estimate crosses the block edges, and
+    # test_collapsed_replications_match_collapsed_estimate checks the
+    # collapsed kernel the same way.
     p = CATALOG["linear-gauss"]()
     row = make_root(61).split(3)
     for a, b in zip(nmc_replications(_scalar_variant(p), 8, 8, row, 5, 5 + 256 + 7),
@@ -142,12 +143,15 @@ def _per_replication(p, N, M, row, lo, hi):
 
 @pytest.mark.parametrize("model,N,M,lo,hi", [
     ("gauss-log", 1, 1, 0, 3),                # N*M = 1
-    ("gauss-log", 128, 128, 0, 3),            # N*M = block budget
-    ("gauss-log", 113, 145, 0, 2),            # one over: one replication per block
+    ("gauss-log", 128, 128, 0, 3),            # N*M = 2**14: 4 replications per block
+    ("gauss-log", 113, 145, 0, 2),            # N*M = 2**14 + 1: 3 per block
+    ("gauss-log", 256, 256, 0, 3),            # N*M = block budget (2**16): 1 per block
+    ("gauss-log", 131, 501, 0, 2),            # one over: 1 per block, 130 + 1 outer draws
     ("gauss-log", 2, 70000, 0, 2),            # inner draws past one chunk
     ("linear-gauss", 16384, 1, 2, 4),
     ("bias-quad-pos", 1, 16384, 1, 3),
-    ("gauss-log", 8, 8, 5, 5 + 2 * 256 + 7),  # span not a multiple of R_blk
+    ("gauss-log", 8, 8, 5, 5 + 2 * 256 + 7),  # span inside one block
+    ("gauss-log", 8, 8, 5, 5 + 2 * 1024 + 7),  # span not a multiple of R_blk = 2**16 // 64
     ("constant", 7, 9, 3, 600),
 ])
 def test_nmc_replications_match_nmc_estimate(model, N, M, lo, hi):
@@ -185,6 +189,20 @@ def test_large_row_reuses_its_draw_buffers():
     nmc_replications(p, 16, 65536, row, 0, 2)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     nmc_replications(p, 16, 65536, row, 0, 2)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts are compared on Linux only")
+@pytest.mark.parametrize("N,M,R", [(32, 32, 200), (4, 4, 2000)])
+def test_small_row_reuses_its_draw_buffers(N, M, R):
+    # A small row's blocks fill whole pooled buffers, as a large row's do;
+    # a second call draws into the buffers the first one faulted in.
+    p = CATALOG["gauss-log"]()
+    row = make_root(5).split(1)
+    nmc_replications(p, N, M, row, 0, R)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    nmc_replications(p, N, M, row, 0, R)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
@@ -286,8 +304,9 @@ def test_collapsed_batch_matches_scalar():
 
 @pytest.mark.parametrize("model,N,lo,hi", [
     ("linear-gauss", 1, 0, 3),
-    ("linear-gauss", 7, 4, 4 + 2 * 2340 + 5),   # span not a multiple of R_blk
-    ("linear-gauss", 16385, 0, 2),              # one replication per block
+    ("linear-gauss", 7, 4, 4 + 2 * 2340 + 5),   # span inside one block
+    ("linear-gauss", 64, 4, 4 + 2 * 1024 + 5),  # span not a multiple of R_blk = 2**16 // 64
+    ("linear-gauss", 16385, 0, 2),              # 3 replications per block
     ("linear-gauss", 70000, 1, 2),              # outer draws past one chunk
     ("constant", 9, 0, 40),
 ])

@@ -3,7 +3,8 @@
 Each case is one fixed command line whose report must equal its file under
 ``tests/golden/`` byte for byte.  The grids are chosen to cross every block
 shape of the sampling kernel, which must not change a value: N*M = 1, rows
-on both sides of the replication block budget (2**14 elements), a row of
+of several replications per block and at the block budget (2**16
+elements, one replication per block), a row of
 one outer draw per block whose M inner draws take one pairwise mean
 (2**15 < M <= 2**16), rows past the inner chunk (M > 2**16), rep schedules,
 CRN races, collapsed sweeps and a two-worker run.
@@ -23,7 +24,7 @@ from nestmc.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
-    # tau:alpha=1 splits: 2x2, 64x64, 128x128 (= 2**14), 130x130, 256x256.
+    # tau:alpha=1 splits: 2x2, 64x64, 128x128 (= 2**14), 130x130, 256x256 (= 2**16).
     "converge-straddle.csv": [
         "converge", "--model", "gauss-log", "--budgets", "4,4096,16384,16900,65536",
         "--reps", "6", "--rep-schedule", "65536:3", "--seed", "3"],
@@ -32,7 +33,7 @@ CASES = {
         "converge", "--model", "bias-quad-pos", "--policy", "fixed-inner:M=1",
         "--budgets", "1,2,7", "--reps", "11", "--drop-smallest", "1",
         "--seed", "5", "--format", "json"],
-    # M = 20000 and 70000 at N = 3: one row above the block budget and one
+    # M = 20000 and 70000 at N = 3: one row of one replication per block and one
     # above the within-row chunk; two worker threads.
     "converge-workers2.json": [
         "converge", "--model", "gauss-log", "--policy", "fixed-outer:N=3",
@@ -53,7 +54,7 @@ CASES = {
         "allocate", "--model", "gauss-log", "--T", "4096", "--reps", "10",
         "--seed", "1", "--policies",
         "tau:alpha=0.5,c=1;tau:alpha=1,c=1;fixed-inner:M=4"],
-    # Every shape above the block budget at T = 40000.
+    # T = 40000: one replication per block in every shape.
     "allocate.json": [
         "allocate", "--model", "bias-quad-neg", "--T", "40000", "--reps", "4",
         "--seed", "6", "--format", "json", "--policies",

@@ -106,8 +106,9 @@ def test_convergence_row_streams_are_positional():
     assert rep.rows[1].mean == pytest.approx(expected, rel=1e-15)
 
 
-# N*M below, at and one above the replication block budget (2**14).
-@pytest.mark.parametrize("N,M", [(8, 8), (128, 128), (113, 145)])
+# Rows of many, four and three replications per block (N*M = 2**6, 2**14 and
+# 2**14 + 1), and at and one above the block budget of 2**16 elements.
+@pytest.mark.parametrize("N,M", [(8, 8), (128, 128), (113, 145), (256, 256), (131, 501)])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_row_replications_equal_nmc_estimate_across_block_budget(N, M, workers):
     p = CATALOG["gauss-log"]()
@@ -121,7 +122,7 @@ def test_row_replications_equal_nmc_estimate_across_block_budget(N, M, workers):
 
 # A model without batch samplers goes one scalar estimate per replication.
 _RUNNERS = {
-    # 4x4 and 130x130: rows on both sides of the replication block budget.
+    # 4x4 and 130x130: rows of 4096 and 3 replications per block.
     "convergence": lambda p, s, w: run_convergence(p, TauPower(1, 1), [16, 16900], 2, s,
                                                    workers=w),
     "bias": lambda p, s, w: run_bias(p, 6, [2, 9], 3, s, workers=w),
@@ -294,7 +295,7 @@ def test_compare_policies_ranking_and_crn():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_compare_policies_common_random_numbers(workers):
     # Replication r of every policy replays nmc_estimate on split(s, r): a
-    # 128x128 shape inside the replication block budget, 2x8200 above it.
+    # 128x128 shape of four replications per block, 2x8200 of three.
     p = CATALOG["gauss-log"]()
     s = make_root(6)
     ranking = compare_policies(p, 16400, [TauPower(1, 1), FixedOuter(2)], 4, s,
