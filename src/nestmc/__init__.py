@@ -3,9 +3,8 @@ and an experiment harness for convergence and bias studies."""
 
 __version__ = "0.1.0"
 
-from .rng import RngStream, StreamBatch, make_root, split, next_uniform, next_gaussian
-from .problem import (GaussianInner, BoundedInner, NestedProblem,
-                      gamma_quadrature, validate)
+from .rng import RngStream, StreamBatch, make_root
+from .problem import GaussianInner, NestedProblem, gamma_quadrature, validate
 from .models import (CATALOG, MODEL_TAGS, make_gauss_log, make_bias_quadratic,
                      make_linear_gauss, make_constant, gamma_kernel_exact,
                      bias_quadratic_expected_value)
@@ -21,9 +20,8 @@ from .cli import main
 
 __all__ = [
     "__version__",
-    "RngStream", "StreamBatch", "make_root", "split", "next_uniform", "next_gaussian",
-    "GaussianInner", "BoundedInner", "NestedProblem",
-    "gamma_quadrature", "validate",
+    "RngStream", "StreamBatch", "make_root",
+    "GaussianInner", "NestedProblem", "gamma_quadrature", "validate",
     "CATALOG", "MODEL_TAGS", "make_gauss_log", "make_bias_quadratic",
     "make_linear_gauss", "make_constant", "gamma_kernel_exact",
     "bias_quadratic_expected_value",

@@ -109,16 +109,20 @@ def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     terms(block, idx) gives the terms of outer draws `idx` of each stream
     of `block`.  Blocks hold max(1, _CHUNK // (N*M)) replications by
     min(N, max(1, _CHUNK // M)) outer draws, so a small row's block fills
-    one pooled buffer, as a large row's does.
+    one pooled buffer, as a large row's does.  A block's terms of all N
+    outer draws go to one array made before any draw, so a row too large to
+    hold fails at once.
     """
     keys = reps.keys.reshape(-1)
     step, outer = max(1, _CHUNK // (N * M)), max(1, _CHUNK // M)
     values, degenerate = np.empty(keys.size), np.empty(keys.size)
     for a in range(0, keys.size, step):
         block = StreamBatch(keys[a:a + step])
+        fv = np.empty(block.shape + (N,))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            fv = np.concatenate([terms(block, np.arange(lo, min(lo + outer, N), dtype=np.uint64))
-                                 for lo in range(0, N, outer)], axis=-1)
+            for lo in range(0, N, outer):
+                fv[..., lo:lo + outer] = terms(
+                    block, np.arange(lo, min(lo + outer, N), dtype=np.uint64))
         values[a:a + step], degenerate[a:a + step] = _finalize(fv)
     return values, degenerate / N
 

@@ -2,7 +2,7 @@
 
 Every runner follows the same pattern: a grid of configurations, R
 independent replications per grid row on streams derived from
-``split(split(s, row_index), rep_index)``, and summary statistics against
+``s.split(row_index).split(rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
 bit-identical across runs and worker counts.  A run hands the
 replications of all its rows to one scheduler call (``_fill_replications``),
@@ -339,7 +339,7 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
                      R: int, s: RngStream, *, workers: int = 1) -> PolicyRanking:
     """Race allocation policies at one total budget with common random numbers.
 
-    Replication r of every policy reuses the same stream split(s, r), so
+    Replication r of every policy reuses the same stream s.split(r), so
     policy differences are not drowned by replication noise.  All splits
     are computed first; an infeasible policy faults before any sampling.
     """

@@ -3,23 +3,22 @@
 A nested problem is an outer expectation over y of f(y, gamma(y)), where
 gamma(y) is itself an inner expectation of phi(y, z).  This module defines
 the problem container, a numeric validator for its declared invariants, and
-a deterministic quadrature oracle for gamma used to cross-check closed-form
-ground truth.
+a deterministic Gauss-Hermite quadrature oracle for gamma on a Gaussian
+inner law, used to cross-check closed-form ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .rng import RngStream, make_root, split
+from .rng import RngStream, make_root
 
 __all__ = [
     "GaussianInner",
-    "BoundedInner",
     "NestedProblem",
     "validate",
     "gamma_quadrature",
@@ -32,15 +31,6 @@ class GaussianInner:
 
     mean: Callable[[float], float]
     sd: Callable[[float], float]
-
-
-@dataclass(frozen=True)
-class BoundedInner:
-    """Inner density supported on [lo, hi] with pdf(y, z); integrated by Gauss-Legendre."""
-
-    lo: float
-    hi: float
-    pdf: Callable[[float, float], float]
 
 
 @dataclass(frozen=True)
@@ -72,7 +62,7 @@ class NestedProblem:
     truth: Optional[float] = None
     linear_g: Optional[Callable] = None
     # Quadrature description of the inner density; None disables gamma_quadrature.
-    inner_quad: Union[GaussianInner, BoundedInner, None] = None
+    inner_quad: Optional[GaussianInner] = None
     # Vectorized samplers: outer_batch(batch) and inner_batch(batch, y) draw one
     # value per stream in the batch.
     outer_batch: Optional[Callable] = None
@@ -98,7 +88,7 @@ def _probe_points(p: NestedProblem):
     root = make_root(_PROBE_SEED)
     ys, zs = [], []
     for i in range(_N_PROBES):
-        s = split(root, i)
+        s = root.split(i)
         y = p.outer_sampler(s)
         z = p.inner_sampler(s, y)
         ys.append(y)
@@ -185,19 +175,13 @@ def _hermite_nodes(n: int):
     return roots_hermite(n)
 
 
-@lru_cache(maxsize=8)
-def _legendre_nodes(n: int):
-    from scipy.special import roots_legendre
-    return roots_legendre(n)
-
-
 def gamma_quadrature(p: NestedProblem, y, nodes: int):
     """Deterministic quadrature approximation of gamma(y) = E_z[phi(y, z)].
 
-    Uses Gauss-Hermite when the inner density is Gaussian and Gauss-Legendre
-    when it is bounded.  Serves as the independent oracle for ``gamma_exact``
-    and for ground-truth computation; quadrature error is spectrally small
-    and negligible against any Monte Carlo error in play.
+    Gauss-Hermite against the Gaussian inner density ``inner_quad``.  Serves
+    as the independent oracle for ``gamma_exact`` and for ground-truth
+    computation; quadrature error is spectrally small and negligible against
+    any Monte Carlo error in play.
 
     Parameters
     ----------
@@ -218,13 +202,7 @@ def gamma_quadrature(p: NestedProblem, y, nodes: int):
     q = p.inner_quad
     if q is None:
         raise ValueError(f"model {p.name!r} declares no quadrature support")
-    if isinstance(q, GaussianInner):
-        # E[phi(y, mu + sd*Z)] with Z std normal: substitute z = mu + sd*sqrt(2)*x.
-        x, w = _hermite_nodes(nodes)
-        z = q.mean(y) + q.sd(y) * np.sqrt(2.0) * x
-        return float(np.sum(w * p.phi(y, z)) / np.sqrt(np.pi))
-    # Bounded density on [lo, hi]: plain Gauss-Legendre against the pdf.
-    x, w = _legendre_nodes(nodes)
-    half = 0.5 * (q.hi - q.lo)
-    z = 0.5 * (q.hi + q.lo) + half * x
-    return float(np.sum(w * p.phi(y, z) * q.pdf(y, z)) * half)
+    # E[phi(y, mu + sd*Z)] with Z std normal: substitute z = mu + sd*sqrt(2)*x.
+    x, w = _hermite_nodes(nodes)
+    z = q.mean(y) + q.sd(y) * np.sqrt(2.0) * x
+    return float(np.sum(w * p.phi(y, z)) / np.sqrt(np.pi))

@@ -47,9 +47,6 @@ __all__ = [
     "StreamBatch",
     "take",
     "make_root",
-    "split",
-    "next_uniform",
-    "next_gaussian",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -406,18 +403,3 @@ class StreamBatch:
 def make_root(seed: int) -> RngStream:
     """Root stream for a 64-bit seed (reduced mod 2**64); empty path."""
     return RngStream(seed)
-
-
-def split(s: RngStream, index: int) -> RngStream:
-    """Pure child derivation: `s` is not advanced."""
-    return s.split(index)
-
-
-def next_uniform(s: RngStream) -> float:
-    """Advance `s` by one draw; marginally Uniform[0, 1)."""
-    return s.next_uniform()
-
-
-def next_gaussian(s: RngStream) -> float:
-    """Advance `s`; standard normal via Box-Muller."""
-    return s.next_gaussian()

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -558,20 +559,27 @@ def test_python_m_nestmc():
 
 
 @pytest.mark.parametrize("argv", [
-    ["--budgets", "16,64", "--reps", "1000000000000"],
-    ["--budgets", "16,64", "--reps", "1000000000000", "--workers", "2"],
-    ["--budgets", "16:1024:1000000000000"],
+    ["converge", "--model", "gauss-log", "--budgets", "16,64", "--reps", "1000000000000"],
+    ["converge", "--model", "gauss-log", "--budgets", "16,64", "--reps", "1000000000000",
+     "--workers", "2"],
+    ["converge", "--model", "gauss-log", "--budgets", "16:1024:1000000000000"],
+    # N = 10**15 outer terms in one row: one request for all of them, not
+    # block after block until the cap.
+    ["allocate", "--model", "gauss-log", "--T", "1000000000000000", "--reps", "2",
+     "--policies", "fixed-inner:M=1"],
 ])
 def test_unallocatable_request_exits_2(argv):
-    # A 4 GiB address-space cap on the child alone makes the multi-TiB
-    # allocation fail the same way under any overcommit setting.
+    # A 1 GiB address-space cap on the child alone makes the TiB-sized
+    # request fail the same way under any overcommit setting, and turns a
+    # fill that only fails once memory runs out into an error about a small
+    # array.
     resource = pytest.importorskip("resource")
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    out = _python(["-m", "nestmc", "converge", "--model", "gauss-log"] + argv,
-                  preexec_fn=cap)
+    out = _python(["-m", "nestmc"] + argv, preexec_fn=cap)
     assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr.startswith("error:") and out.stderr.count("\n") == 1
+    assert re.match(r"error: Unable to allocate [\d.]+ [TP]iB ", out.stderr), out.stderr
+    assert out.stderr.count("\n") == 1
     assert "Traceback" not in out.stderr

@@ -5,14 +5,16 @@ import math
 import resource
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 
 from nestmc.estimators import (collapsed_estimate, collapsed_replications, nmc_estimate,
                                nmc_replications)
+from nestmc.harness import _fill_replications
 from nestmc.models import CATALOG, make_constant, make_gauss_log
-from nestmc.rng import make_root, next_gaussian, next_uniform, split
+from nestmc.rng import make_root
 
 
 def _scalar_variant(p):
@@ -46,8 +48,8 @@ def test_nmc_single_draw_definition():
     p = make_gauss_log()
     s = make_root(2)
     e = nmc_estimate(p, 1, 1, s)
-    y1 = p.outer_sampler(split(split(s, 0), 0))
-    z11 = p.inner_sampler(split(split(split(s, 1), 0), 0), y1)
+    y1 = p.outer_sampler(s.split(0).split(0))
+    z11 = p.inner_sampler(s.split(1).split(0).split(0), y1)
     assert e.value == p.f(y1, p.phi(y1, z11))
 
 
@@ -84,9 +86,9 @@ def test_variable_draw_sampler_raises():
     # Rejection sampling takes a data-dependent number of uniforms per draw,
     # which breaks the fixed-draw contract of NestedProblem.
     def rejection(s):
-        u = next_uniform(s)
+        u = s.next_uniform()
         while u < 0.5:
-            u = next_uniform(s)
+            u = s.next_uniform()
         return 2.0 * u - 1.0
 
     p = dataclasses.replace(_scalar_variant(make_gauss_log()), outer_sampler=rejection)
@@ -125,7 +127,7 @@ def test_nmc_batch_path_matches_scalar_path(N, M):
 
 def test_nmc_degenerate_terms_excluded_and_counted():
     p = dataclasses.replace(_scalar_variant(_signed_log()),
-                            inner_sampler=lambda s, y: next_gaussian(s))
+                            inner_sampler=lambda s, y: s.next_gaussian())
     e = nmc_estimate(p, 200, 4, make_root(0))
     assert 0 < e.degenerate_count < 200
     assert e.valid and np.isfinite(e.value)
@@ -282,7 +284,7 @@ def test_collapsed_single_draw_definition():
     p = _scalar_variant(CATALOG["linear-gauss"]())
     s = make_root(14)
     e = collapsed_estimate(p, 1, s)
-    sn = split(s, 0)
+    sn = s.split(0)
     y1 = p.outer_sampler(sn)
     z1 = p.inner_sampler(sn, y1)
     assert e.value == p.f(y1, p.phi(y1, z1))
@@ -350,7 +352,7 @@ def test_collapsed_pending_pair_crosses_samplers(k):
     N = 301
     terms = []
     for n in range(N):
-        sn = split(s, n)
+        sn = s.split(n)
         y = scalar.outer_sampler(sn)
         z = scalar.inner_sampler(sn, y)
         terms.append(scalar.f(y, scalar.phi(y, z)))
@@ -367,8 +369,8 @@ def test_collapsed_replication_mean_hits_truth():
     p = CATALOG["linear-gauss"]()
     s = make_root(88)
     R = 100
-    vals = np.array([collapsed_estimate(p, 10**6, s.split(r)).value
-                     for r in range(R)])
+    # Replication r is collapsed_estimate(p, 10**6, s.split(r)), on two threads.
+    (vals, _), = _fill_replications([(partial(collapsed_replications, p, 10**6), s, R)], 2)
     se = np.std(vals, ddof=1) / math.sqrt(R)
     assert abs(vals.mean() - p.truth) <= 3 * se
 

@@ -97,7 +97,7 @@ def test_convergence_rep_schedule_and_drop_smallest():
 
 
 def test_convergence_row_streams_are_positional():
-    # Row r of a sweep replays exactly nmc_estimate on split(split(s, row), rep).
+    # Row r of a sweep replays exactly nmc_estimate on s.split(row).split(rep).
     p = CATALOG["gauss-log"]()
     s = make_root(3)
     rep = run_convergence(p, TauPower(1, 1), [16, 64], 2, s)
@@ -294,7 +294,7 @@ def test_compare_policies_ranking_and_crn():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_compare_policies_common_random_numbers(workers):
-    # Replication r of every policy replays nmc_estimate on split(s, r): a
+    # Replication r of every policy replays nmc_estimate on s.split(r): a
     # 128x128 shape of four replications per block, 2x8200 of three.
     p = CATALOG["gauss-log"]()
     s = make_root(6)

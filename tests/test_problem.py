@@ -5,7 +5,7 @@ import math
 import pytest
 
 from nestmc.models import CATALOG
-from nestmc.problem import BoundedInner, NestedProblem, gamma_quadrature, validate
+from nestmc.problem import NestedProblem, gamma_quadrature, validate
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -89,17 +89,3 @@ def test_gamma_quadrature_faults():
     noquad = dataclasses.replace(p, inner_quad=None)
     with pytest.raises(ValueError):
         gamma_quadrature(noquad, 0.0, 100)
-
-
-def test_bounded_inner_quadrature():
-    # z ~ Uniform(0, 2): E[z^2] = 4/3 by Gauss-Legendre.
-    p = NestedProblem(
-        outer_sampler=lambda s: 0.0,
-        inner_sampler=lambda s, y: 2.0 * s.next_uniform(),
-        phi=lambda y, z: z**2,
-        f=lambda y, w: w,
-        name="uniform-square",
-        inner_quad=BoundedInner(lo=0.0, hi=2.0, pdf=lambda y, z: 0.5),
-    )
-    assert gamma_quadrature(p, 0.0, 200) == pytest.approx(4.0 / 3.0, abs=1e-12)
-

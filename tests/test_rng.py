@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestmc import rng
-from nestmc.rng import (RngStream, _cos, _sine_branch, index_hash, make_root, next_gaussian,
-                        next_uniform, split, take)
+from nestmc.rng import RngStream, _cos, _sine_branch, index_hash, make_root, take
 
 
 def _uniforms(stream, n):
-    return [next_uniform(stream) for _ in range(n)]
+    return [stream.next_uniform() for _ in range(n)]
 
 
 def _gaussians(stream, n):
-    return [next_gaussian(stream) for _ in range(n)]
+    return [stream.next_gaussian() for _ in range(n)]
 
 
 def test_make_root_deterministic():
@@ -35,14 +34,14 @@ def test_distinct_seeds_differ():
 
 def test_zero_seed_is_legal():
     s = make_root(0)
-    u = next_uniform(s)
+    u = s.next_uniform()
     assert 0.0 <= u < 1.0
 
 
 def test_split_is_pure():
     r = make_root(7)
-    a = _uniforms(split(r, 0), 50)
-    b = _uniforms(split(r, 0), 50)
+    a = _uniforms(r.split(0), 50)
+    b = _uniforms(r.split(0), 50)
     assert a == b
 
 
@@ -50,20 +49,20 @@ def test_split_does_not_advance_parent():
     r1 = make_root(7)
     r2 = make_root(7)
     for i in range(10):
-        split(r1, i)  # discarded children must not touch the parent
+        r1.split(i)  # discarded children must not touch the parent
     assert _uniforms(r1, 20) == _uniforms(r2, 20)
 
 
 def test_split_distinct_indices_differ():
     r = make_root(7)
-    assert _uniforms(split(r, 0), 50) != _uniforms(split(r, 1), 50)
+    assert _uniforms(r.split(0), 50) != _uniforms(r.split(1), 50)
 
 
 def test_split_order_sensitive():
     # <3,5> and <5,3> are different paths and must give different sequences.
     r = make_root(11)
-    a = _uniforms(split(split(r, 3), 5), 1000)
-    b = _uniforms(split(split(r, 5), 3), 1000)
+    a = _uniforms(r.split(3).split(5), 1000)
+    b = _uniforms(r.split(5).split(3), 1000)
     assert a != b
 
 
@@ -76,7 +75,7 @@ def test_same_path_regenerates_bitwise():
 
 def test_sibling_outputs_share_no_prefix():
     r = make_root(3)
-    seqs = [tuple(_uniforms(split(r, i), 8)) for i in range(64)]
+    seqs = [tuple(_uniforms(r.split(i), 8)) for i in range(64)]
     assert len(set(seqs)) == len(seqs)
 
 
@@ -214,9 +213,9 @@ def test_batch_streams_match_scalar_children():
     g2 = batch.gaussians()
     for i in range(40):
         child = root.split(i)
-        assert u[i] == next_uniform(child)
-        assert g1[i] == next_gaussian(child)
-        assert g2[i] == next_gaussian(child)
+        assert u[i] == child.next_uniform()
+        assert g1[i] == child.next_gaussian()
+        assert g2[i] == child.next_gaussian()
 
 
 def test_nested_batch_split_matches_scalar_grandchildren():
@@ -227,7 +226,7 @@ def test_nested_batch_split_matches_scalar_grandchildren():
     assert u.shape == (3, 5)
     for n in range(3):
         for m in range(5):
-            assert u[n, m] == next_uniform(root.split(n).split(m))
+            assert u[n, m] == root.split(n).split(m).next_uniform()
 
 
 def test_each_runs_scalar_draws_under_the_batch():
@@ -238,13 +237,13 @@ def test_each_runs_scalar_draws_under_the_batch():
     batch = root.split_many(np.arange(12, dtype=np.uint64).reshape(3, 4))
     shift = np.arange(4.0)
     got = [batch.gaussians(),
-           batch.each(next_gaussian),
-           batch.each(lambda s, c: c + next_uniform(s), shift),
+           batch.each(RngStream.next_gaussian),
+           batch.each(lambda s, c: c + s.next_uniform(), shift),
            batch.gaussians()]
     for i in range(12):
         child = root.split(i)
-        want = [next_gaussian(child), next_gaussian(child),
-                shift[i % 4] + next_uniform(child), next_gaussian(child)]
+        want = [child.next_gaussian(), child.next_gaussian(),
+                shift[i % 4] + child.next_uniform(), child.next_gaussian()]
         assert [g.reshape(-1)[i] for g in got] == want
 
 
@@ -262,7 +261,7 @@ def test_each_leaves_a_pending_pair_for_the_batch():
 def test_each_rejects_a_variable_number_of_draws():
     batch = make_root(19).split_many(np.arange(8, dtype=np.uint64))
     with pytest.raises(ValueError):
-        batch.each(lambda s: next_uniform(s) if s.next_uniform() < 0.5 else 0.0)
+        batch.each(lambda s: s.next_uniform() if s.next_uniform() < 0.5 else 0.0)
     odd_pending = lambda s: (s.next_gaussian() if s.next_uniform() < 0.5
                              else s.next_uniform() + s.next_uniform())
     with pytest.raises(ValueError):  # counters agree, pending pairs do not
@@ -410,6 +409,6 @@ def test_regeneration_is_bit_identical(seed, path):
     def build():
         s = make_root(seed)
         for i in path:
-            s = split(s, i)
+            s = s.split(i)
         return _uniforms(s, 8)
     np.testing.assert_array_equal(build(), build())
