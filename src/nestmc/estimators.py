@@ -2,9 +2,10 @@
 
 Every estimator is a pure function of its stream: repeated calls with the
 same stream are bit-identical, and the per-draw stream layout (outer draw n
-on child <0,n>, inner block n on child <1,n>, inner draws 2k and 2k+1 on
-grandchild k, as the inner sampler's first and second call there) makes
-results independent of evaluation order and worker count.
+on child <0,n>, inner draw m as call m of the inner sampler on child <1,n>)
+makes results independent of evaluation order and worker count.  The
+kernel makes inner draws 2k and 2k+1 together, as two calls on <1,n>
+skipped ahead by 2k draws, one add to its key.
 
 One block loop (``_replicate``) draws every nested and collapsed estimate,
 for one replication or a span of a row's.  One block budget, ``_CHUNK``
@@ -28,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .problem import NestedProblem
-from .rng import BUFFER_SIZE, RngStream, StreamBatch, index_hash, take
+# index_hash is unused here; it stays bound for bench/tracing.py, which wraps it.
+from .rng import BUFFER_SIZE, RngStream, StreamBatch, index_hash, skip_offsets, take
 
 __all__ = [
     "Estimate",
@@ -128,38 +130,44 @@ def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def _inner_hashes(K: int) -> np.ndarray:
-    """Read-only pre-hashed grandchild indices 0..K-1, kept for the last few K.
+def _pair_offsets(K: int) -> np.ndarray:
+    """Read-only key offsets that skip 2k draws, for pairs k = 0..K-1, kept for the last few K.
 
-    Every span of a row hashes the same K indices, so a row pays for them
+    Every span of a row skips to the same K pairs, so a row builds them
     once rather than once per span.
     """
-    h = index_hash(np.arange(K, dtype=np.uint64))
-    h.setflags(write=False)
-    return h
+    offsets = skip_offsets(np.arange(0, 2 * K, 2, dtype=np.uint64))
+    offsets.setflags(write=False)
+    return offsets
 
 
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
     """Nested-estimator terms f(y_n, inner mean of M draws) for _replicate.
 
-    Grandchild k of an inner block serves inner draws 2k and 2k+1, as the
-    first and second call of the inner sampler on it; for odd M the second
-    draw of the last pair goes unused.  Both calls' draws go to one array
-    in m order, and one phi call per block.
+    Inner draw m is call m of the inner sampler on <1,n>.  Pair k, draws 2k
+    and 2k+1, is the first and second call on <1,n> skipped ahead by 2k
+    draws; that equals calls 2k and 2k+1 in order only if the two calls
+    take exactly two draws and leave no pending normal, which is checked.
+    For odd M the second draw of the last pair goes unused.  Both calls'
+    draws go to one array in m order, and one phi call per block.
     """
-    mhash = _inner_hashes((M + 1) // 2)
+    offsets = _pair_offsets((M + 1) // 2)
     outer_batch, inner_batch = p.batch_samplers()
 
     def inner_phi(yb, inner, lo, hi):
         # lo is 0 or a multiple of _CHUNK, so blocks start on a pair.  z is
         # taken after the first call and the first draws are dropped before
         # the second, so neither call holds both arrays besides its own.
-        pairs = inner.split_hashed(mhash[lo // 2:(hi + 1) // 2])
+        pairs = inner.skip(offsets[lo // 2:(hi + 1) // 2])
         first = inner_batch(pairs, yb)
         z = take(pairs.shape[:-1] + (hi - lo,), np.float64)
         z[..., 0::2] = first
         del first
         z[..., 1::2] = inner_batch(pairs, yb)[..., :(hi - lo) // 2]
+        if not pairs.settled(2):
+            raise ValueError(
+                f"model {p.name!r}: two calls of the inner sampler must take exactly "
+                "two draws and leave no pending normal")
         return p.phi(yb, z)
 
     def terms(reps, idx):
@@ -173,10 +181,11 @@ def _nested_terms(p: NestedProblem, M: int) -> Callable:
 def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     """Nested Monte Carlo estimate: (1/N) sum_n f(y_n, (1/M) sum_m phi(y_n, z_nm)).
 
-    Outer draw n comes from child stream <0,n>, its inner block from <1,n>,
-    and inner draw m from call m % 2 of the inner sampler on grandchild
-    <1,n,m//2>, so terms are independent and the result does not depend on
-    evaluation order.  Non-finite f outputs are excluded from the average
+    Outer draw n comes from child stream <0,n> and inner draw m from call m
+    of the inner sampler on child <1,n>, so terms are independent and the
+    result does not depend on evaluation order.  Raises ValueError when two
+    calls of the inner sampler do not take exactly two draws (see
+    ``NestedProblem``).  Non-finite f outputs are excluded from the average
     and reported in ``degenerate_count``.
     """
     if N < 1 or M < 1:

@@ -39,11 +39,15 @@ class NestedProblem:
 
     Samplers receive their stream explicitly and must consume a fixed number
     of draws per call; the estimators raise ValueError when a scalar sampler
-    takes different numbers of draws on the streams of one batch.  The
-    nested estimator calls the inner sampler twice on each inner stream, for
-    two inner draws, so it must draw from that stream, not only from its
-    splits, which do not advance it.  ``phi`` and ``f`` must accept numpy
-    arrays and broadcast; all built-in models are scalar-valued.
+    takes different numbers of draws on the streams of one batch.  Inner
+    draw m of outer draw n is call m of the inner sampler on stream <1,n>.
+    The nested estimator makes calls 2k and 2k+1 together, on that stream
+    skipped ahead by 2k draws, so every two consecutive calls must take
+    exactly two draws from the stream itself (not from its splits, which do
+    not advance it) and leave no pending Box-Muller half: one normal, or one
+    uniform, per call, as every catalog model draws.  Otherwise the
+    estimator raises ValueError naming the model.  ``phi`` and ``f`` must
+    accept numpy arrays and broadcast; all built-in models are scalar-valued.
 
     Optional oracle fields (``gamma_exact``, ``truth``, ``linear_g``) enable
     testing and the linear-collapse estimator but are not required by the

@@ -7,6 +7,8 @@ taken from the root.  Draw ``j`` of a stream is a keyed hash of ``j``
 
 * regenerating a stream from the same seed and path is bit-identical,
 * ``split`` derives a child key without advancing the parent,
+* skipping a stream ahead by c draws is one add of c * GOLDEN to its key
+  (:meth:`StreamBatch.skip`),
 * streams can be handed to workers in any order without changing output.
 
 The generator is a SplitMix-style 64-bit mixer (Stafford variant 13)
@@ -46,6 +48,7 @@ __all__ = [
     "RngStream",
     "StreamBatch",
     "take",
+    "skip_offsets",
     "make_root",
 ]
 
@@ -93,8 +96,18 @@ def _child_key_int(key: int, index: int) -> int:
 
 
 def index_hash(indices) -> np.ndarray:
-    """Pre-hashed split indices for reuse across many `split_hashed` calls."""
+    """Pre-hashed split indices for reuse across many `split_hashed` calls.
+
+    No estimator uses it; bench/sweep.py times it.
+    """
     return _mix_u64(np.asarray(indices, dtype=np.uint64) + _U_GOLDEN)
+
+
+def skip_offsets(counts) -> np.ndarray:
+    """Key offsets c * GOLDEN mod 2**64 of skip counts `counts`, for `StreamBatch.skip`."""
+    offsets = np.array(counts, dtype=np.uint64)
+    offsets *= _U_GOLDEN
+    return offsets
 
 
 def _to_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -347,6 +360,26 @@ class StreamBatch:
     def split_hashed(self, hashed: np.ndarray) -> "StreamBatch":
         """Like split_many on a 1-D index set pre-hashed by `index_hash`."""
         return self._child(self.keys[..., None], hashed, self.shape + hashed.shape)
+
+    def skip(self, offsets: np.ndarray) -> "StreamBatch":
+        """Batch of shape `self.shape + offsets.shape`, each stream skipped ahead.
+
+        Entry [..., j] is its stream after c_j more draws, where the 1-D
+        `offsets` holds c_j * GOLDEN mod 2**64 (see `skip_offsets`): draw i
+        of key K is mix(K + i * GOLDEN), so that stream's key is
+        K + offsets[j] at this batch's counter.  A pending Box-Muller half
+        would not skip with it, so the batch must hold none.
+        """
+        if self._pending is not None:
+            raise ValueError("cannot skip a batch that holds a pending normal")
+        out = StreamBatch(np.add(self.keys[..., None], offsets,
+                                 out=take(self.shape + offsets.shape)))
+        out._counter = self._counter
+        return out
+
+    def settled(self, draws: int) -> bool:
+        """Whether each stream has taken exactly `draws` draws and holds no pending normal."""
+        return self._counter == draws and self._pending is None
 
     def _bits(self) -> np.ndarray:
         """The raw 64-bit word of each stream's next draw."""

@@ -49,23 +49,23 @@ def test_nmc_single_draw_definition():
     s = make_root(2)
     e = nmc_estimate(p, 1, 1, s)
     y1 = p.outer_sampler(s.split(0).split(0))
-    z11 = p.inner_sampler(s.split(1).split(0).split(0), y1)
+    z11 = p.inner_sampler(s.split(1).split(0), y1)
     assert e.value == p.f(y1, p.phi(y1, z11))
 
 
-@pytest.mark.parametrize("N,M", [(1, 1), (6, 4), (40, 25)])
+@pytest.mark.parametrize("N,M", [(1, 1), (6, 4), (40, 25), (3, 7)])
 def test_scalar_double_loop_bit_identical_to_nmc(N, M):
     # The naive reference for the block driver's stream layout and reduction
     # order: one scalar draw at a time, outer draw n from <0,n>, inner draw m
-    # as call m % 2 of the inner sampler on <1,n,m//2>, and both means taken
-    # by np.mean.  Odd M leaves the last pair's second call unmade.
+    # as call m of the inner sampler on <1,n>, in order, and both means
+    # taken by np.mean.
     p = make_gauss_log()
     s = make_root(27)
     terms = []
     for n in range(N):
         y = p.outer_sampler(s.split(0).split(n))
-        pairs = [s.split(1).split(n).split(k) for k in range((M + 1) // 2)]
-        w = np.mean([p.phi(y, p.inner_sampler(pairs[m // 2], y)) for m in range(M)])
+        st = s.split(1).split(n)
+        w = np.mean([p.phi(y, p.inner_sampler(st, y)) for _ in range(M)])
         terms.append(p.f(y, w))
     e = nmc_estimate(p, N, M, s)
     assert e.value == np.mean(terms)
@@ -94,6 +94,27 @@ def test_variable_draw_sampler_raises():
     p = dataclasses.replace(_scalar_variant(make_gauss_log()), outer_sampler=rejection)
     with pytest.raises(ValueError, match="same number of draws"):
         nmc_estimate(p, 64, 4, make_root(0))
+
+
+def _two_normals_per_call(p):
+    # Each call takes four draws, so pair k's skip-ahead window of two
+    # draws would reuse pair k+1's words.
+    return dataclasses.replace(
+        p, name="two-normals",
+        inner_sampler=lambda s, y: s.next_gaussian() + s.next_gaussian(),
+        inner_batch=lambda b, y: b.gaussians() + b.gaussians())
+
+
+@pytest.mark.parametrize("path", ["batched", "each"])
+@pytest.mark.parametrize("N,M", [(1, 2), (4, 9), (2, 70000)])
+def test_inner_sampler_taking_more_than_two_draws_per_pair_raises(path, N, M):
+    p = _two_normals_per_call(make_gauss_log())
+    if path == "each":
+        p = _scalar_variant(p)
+    with pytest.raises(ValueError, match="'two-normals'.*exactly two draws"):
+        nmc_estimate(p, N, M, make_root(0))
+    with pytest.raises(ValueError, match="'two-normals'"):
+        nmc_replications(p, N, M, make_root(0), 0, 3)
 
 
 def test_nmc_replications_without_batch_samplers_match_batched():
@@ -184,8 +205,8 @@ def test_nmc_replications_some_degenerate():
                     reason="minor-fault counts are compared on Linux only")
 def test_large_row_reuses_its_draw_buffers():
     # 32 blocks of 2**16 inner draws.  Drawing each into fresh temporaries
-    # faults ~15k pages per call, and hashing the 2**16 inner indices afresh
-    # ~350; reused buffers and cached hashes fault next to none.
+    # faults ~15k pages per call; reused buffers and cached pair offsets
+    # fault next to none.
     p = CATALOG["gauss-log"]()
     row = make_root(5).split(0)
     nmc_replications(p, 16, 65536, row, 0, 2)

@@ -9,14 +9,17 @@ one outer draw per block whose M inner draws take one pairwise mean
 (2**15 < M <= 2**16), rows past the inner chunk (M > 2**16), rep schedules,
 CRN races, collapsed sweeps and a two-worker run.
 
-Regenerate the files only for a deliberate stream change:
+numpy's AVX-512 float64 ``log`` and ``exp`` differ from its baseline
+(libm) code by one ulp on some inputs, and so do the reports.  So there is
+one set of files per dispatch class, ``golden/avx512`` and
+``golden/baseline``, and each case compares against the set of the class
+this machine's numpy is in, found by the probe below.  A machine whose
+numpy is in neither class skips the cases, naming the class.
+
+Regenerate both sets, on a machine whose numpy dispatches AVX-512, only
+for a deliberate stream change:
 
     PYTHONPATH=src python tests/test_golden.py
-
-The files were made with numpy's AVX-512 float64 ``log`` and ``exp``, which
-differ from its baseline (libm) code by one ulp on some inputs, and so do
-the reports.  A failing case names the class this machine's numpy is in,
-found by the probe below.
 """
 
 import os
@@ -30,6 +33,7 @@ import pytest
 from nestmc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SETS = {"AVX-512": GOLDEN / "avx512", "baseline": GOLDEN / "baseline"}
 
 # Inputs on which numpy 2.4's AVX-512 float64 log (exp) and its baseline
 # code differ, as float.hex, with the AVX-512 and then the baseline result.
@@ -107,29 +111,72 @@ def _report(argv, path: Path) -> bytes:
     return path.read_bytes()
 
 
+def golden_set() -> Path:
+    """The set of files of this machine's dispatch class; skips in neither class."""
+    cls = dispatch_class()
+    if cls not in SETS:
+        pytest.skip(f"no golden set for numpy's {cls!r} log/exp dispatch class")
+    return SETS[cls]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_bytes_match_golden(name, tmp_path, capsys):
+    want = golden_set() / name
     got = _report(CASES[name], tmp_path / name)
     capsys.readouterr()
-    assert got == (GOLDEN / name).read_bytes(), (
-        f"report differs from golden/{name}, made under AVX-512 log/exp; "
-        f"this machine's numpy computes them in the {dispatch_class()} class")
+    assert got == want.read_bytes(), (
+        f"report differs from {want.relative_to(GOLDEN.parent)}, the "
+        f"{dispatch_class()} set")
+
+
+def differing(tmp: Path) -> list:
+    """Cases whose report, written under `tmp`, differs from this class's set."""
+    return [name for name, argv in CASES.items()
+            if _report(argv, tmp / name) != (golden_set() / name).read_bytes()]
+
+
+def _under_baseline(code: str) -> subprocess.CompletedProcess:
+    """Run python `code` with numpy's AVX-512 code disabled, this module importable."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, **BASELINE_ENV,
+               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
 
 
 def test_dispatch_probe_names_the_baseline_class():
     # numpy started with its AVX-512 code disabled must probe as baseline.
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, **BASELINE_ENV,
-               PYTHONPATH=os.pathsep.join([str(src), str(Path(__file__).parent)]))
-    out = subprocess.run([sys.executable, "-c",
-                          "from test_golden import dispatch_class; print(dispatch_class())"],
-                         env=env, capture_output=True, text=True, timeout=120)
+    out = _under_baseline("from test_golden import dispatch_class; print(dispatch_class())")
     assert out.stdout == "baseline\n", out.stderr
 
 
-if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
+def test_baseline_class_reports_match_baseline_set(tmp_path):
+    # Every case again with numpy's AVX-512 code disabled, against the
+    # baseline set.
+    out = _under_baseline(
+        "from pathlib import Path; import test_golden as g\n"
+        f"bad = g.differing(Path({str(tmp_path)!r}))\n"
+        "print(g.dispatch_class(), bad)")
+    assert out.stdout.splitlines()[-1:] == ["baseline []"], out.stdout + out.stderr
+
+
+def test_neither_class_skips_and_names_it(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "dispatch_class", lambda: "neither")
+    with pytest.raises(pytest.skip.Exception, match="'neither' log/exp dispatch class"):
+        golden_set()
+
+
+def write_set(cls: str) -> None:
+    """Write the set of class `cls`, which must be this machine's numpy's."""
+    if dispatch_class() != cls:
+        sys.exit(f"the {cls} set needs numpy in that class; it is in {dispatch_class()}")
+    SETS[cls].mkdir(parents=True, exist_ok=True)
     for name, argv in CASES.items():
-        code = main(argv + ["--out", str(GOLDEN / name)])
-        if code != 0:
-            sys.exit(f"{name}: exit {code}")
+        _report(argv, SETS[cls] / name)
+
+
+if __name__ == "__main__":
+    write_set("AVX-512")
+    done = _under_baseline("import test_golden; test_golden.write_set('baseline')")
+    if done.returncode != 0:
+        sys.exit(done.stdout + done.stderr)

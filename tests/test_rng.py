@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestmc import rng
-from nestmc.rng import RngStream, _cos, _sine_branch, index_hash, make_root, take
+from nestmc.rng import (RngStream, _cos, _sine_branch, index_hash, make_root, skip_offsets,
+                        take)
 
 
 def _uniforms(stream, n):
@@ -227,6 +228,43 @@ def test_nested_batch_split_matches_scalar_grandchildren():
     for n in range(3):
         for m in range(5):
             assert u[n, m] == root.split(n).split(m).next_uniform()
+
+
+@pytest.mark.parametrize("pairs", [[0, 1, 2, 3], [32767, 32768]])
+def test_skipped_batch_continues_each_stream(pairs):
+    # Skipped ahead by c = 2k draws, a stream's next draws are its draws
+    # c+1, c+2, ...: two uniforms, or two normals as its calls 2k and 2k+1
+    # of next_gaussian.  Pairs 0..3 serve an odd M = 7 (its last normal goes
+    # unused); pairs 32767 and 32768 straddle the first 2**16-draw block edge.
+    root = make_root(41).split(1)
+    batch = root.split_many(np.arange(2, dtype=np.uint64))
+    offsets = skip_offsets([2 * k for k in pairs])
+    skipped = batch.skip(offsets)
+    assert skipped.shape == (2, len(pairs))
+    u = [skipped.uniforms(), skipped.uniforms()]
+    skipped = batch.skip(offsets)
+    g = [skipped.gaussians(), skipped.gaussians()]
+    assert skipped.settled(2)
+    count = 2 * pairs[-1] + 2
+    for n in range(2):
+        want_u, want_g = _uniforms(root.split(n), count), _gaussians(root.split(n), count)
+        for j, k in enumerate(pairs):
+            assert [u[0][n, j], u[1][n, j]] == want_u[2 * k:2 * k + 2]
+            assert [g[0][n, j], g[1][n, j]] == want_g[2 * k:2 * k + 2]
+
+
+def test_skip_keeps_the_counter_and_refuses_a_pending_normal():
+    s = make_root(42)
+    batch = s.as_batch()
+    batch.uniforms()
+    assert not batch.settled(0) and batch.settled(1)
+    skipped = batch.skip(skip_offsets([0, 3]))
+    want = _uniforms(s, 5)
+    assert skipped.uniforms().tolist() == [want[1], want[4]]
+    batch.gaussians()
+    assert not batch.settled(3)
+    with pytest.raises(ValueError, match="pending"):
+        batch.skip(skip_offsets([2]))
 
 
 def test_each_runs_scalar_draws_under_the_batch():
