@@ -141,12 +141,8 @@ def split_budget(p: AllocationPolicy, T: int) -> Tuple[int, int]:
 
     if not fits(1):
         raise ValueError(f"budget T={T} infeasible for {p.name}")
-    lo = 1  # feasible
-    hi = 2
-    while fits(hi):
-        lo = hi
-        hi *= 2
-    # invariant: lo feasible, hi infeasible
+    # invariant: lo feasible, hi infeasible (tau >= 1, so M = T + 1 overspends)
+    lo, hi = 1, T + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if fits(mid):

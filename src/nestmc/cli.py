@@ -153,6 +153,8 @@ def _parse_schedule(spec: Optional[str]) -> Optional[Dict[int, int]]:
         if not sep:
             raise ValueError(f"--rep-schedule entries are T:R, got {item!r}")
         T, R = _ints("--rep-schedule", item, (T_str, R_str))
+        if T in sched:
+            raise ValueError(f"--rep-schedule names T={T} twice")
         sched[T] = R
     return sched
 

@@ -91,20 +91,6 @@ def _estimate(terms: Callable, s: RngStream, N: int, M: int) -> Estimate:
                     seed_path=s.path, degenerate_count=round(degenerate[0] * N))
 
 
-def _chunked_mean(values_for: Callable, count: int):
-    """Mean over the last axis of `count` values produced range-wise by values_for(lo, hi).
-
-    One pairwise sum over count, as np.mean takes it, when everything fits
-    in one chunk; otherwise chunk sums combined once and divided.  Chunk
-    edges depend only on count.
-    """
-    if count <= _CHUNK:
-        return np.add.reduce(values_for(0, count), axis=-1) / count
-    parts = [np.add.reduce(values_for(lo, min(lo + _CHUNK, count)), axis=-1)
-             for lo in range(0, count, _CHUNK)]
-    return np.add.reduce(np.stack(parts, axis=-1), axis=-1) / count
-
-
 def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     """(values, degenerate fractions) of the replications on the streams of `reps`.
 
@@ -174,7 +160,11 @@ def _nested_terms(p: NestedProblem, M: int) -> Callable:
         y = outer_batch(reps.split(0).split_many(idx))
         yb = y[..., None]
         inner = reps.split(1).split_many(idx)
-        return p.f(y, _chunked_mean(lambda lo, hi: inner_phi(yb, inner, lo, hi), M))
+        # One pairwise sum per chunk of _CHUNK inner draws, chunk sums combined
+        # once; with one chunk that is the pairwise sum np.mean takes.
+        parts = [np.add.reduce(inner_phi(yb, inner, lo, min(lo + _CHUNK, M)), axis=-1)
+                 for lo in range(0, M, _CHUNK)]
+        return p.f(y, np.add.reduce(np.stack(parts, axis=-1), axis=-1) / M)
     return terms
 
 

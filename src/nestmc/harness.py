@@ -4,9 +4,10 @@ Every runner follows the same pattern: a grid of configurations, R
 independent replications per grid row on streams derived from
 ``s.split(row_index).split(rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
-bit-identical across runs and worker counts.  A run hands the
+bit-identical across runs and worker counts.  A sweep hands the
 replications of all its rows to one scheduler call (``_fill_replications``),
-and every row is evaluated a block of replications at a time
+whose calling thread is its first worker, so one worker starts no thread.
+Every row is evaluated a block of replications at a time
 (``nmc_replications``, ``collapsed_replications``), whatever the model's
 samplers.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -156,10 +158,12 @@ def _fill_replications(jobs: Sequence[Tuple[_SpanFn, RngStream, int]], workers: 
     """(values, degenerate_fracs) of R replications of each job (span, row_stream, R).
 
     Replication r of a job uses the stream row_stream.split(r).  Every
-    job's replications are cut into spans and run on one thread pool, or
-    in order on this thread at one worker.  Spans only affect scheduling;
-    values land at [r] regardless, so output is identical for any worker
-    count.  The pool never has more threads than the machine has cores.
+    job's replications are cut into spans, and the calling thread and
+    workers - 1 pool threads take them in turn from one list, so one
+    worker starts no thread.  Spans only affect scheduling; values land at
+    [r] regardless, so output is identical for any worker count.  Workers
+    never outnumber the machine's cores.  After a span fails no span
+    starts; the started ones finish, then the error is raised.
     """
     workers = min(workers, os.cpu_count() or 1)
     out, tasks = [], []
@@ -168,16 +172,21 @@ def _fill_replications(jobs: Sequence[Tuple[_SpanFn, RngStream, int]], workers: 
         out.append((vals, degf))
         step = R if workers <= 1 else max(1, math.ceil(R / (workers * 4)))
         tasks += [(span, row, lo, min(lo + step, R), vals, degf) for lo in range(0, R, step)]
+    todo = iter(tasks)  # next() on a list iterator is atomic under the GIL
 
-    def fill(task):
-        span, row, lo, hi, vals, degf = task
-        vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
+    def drain():
+        try:
+            for span, row, lo, hi, vals, degf in todo:
+                vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
+        except BaseException:
+            deque(todo, maxlen=0)
+            raise
 
-    if workers <= 1:
-        list(map(fill, tasks))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(fill, tasks))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        helpers = [ex.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
     return out
 
 
@@ -215,10 +224,15 @@ def _sweep(p: NestedProblem, splits: Sequence[Tuple[int, int, int]], R: int, s: 
     """(reps, *_row_statistics) of each row (T, N, M) of `splits`.
 
     Row idx draws its replications with span_for(N, M) on s.split(idx):
-    rep_schedule[T] of them when the schedule names T, R otherwise.
+    rep_schedule[T] of them when the schedule names T, R otherwise.  A
+    schedule key that is no row's T raises ValueError before any draw.
     """
     truth = _require_truth(p)
     _check_reps(R, rep_schedule)
+    unknown = sorted(set(rep_schedule or ()) - {T for T, _, _ in splits})
+    if unknown:
+        raise ValueError(f"rep schedule names T={unknown[0]}, which is no row's budget "
+                         f"(rows: T={', '.join(str(T) for T, _, _ in splits)})")
     reps = [int(rep_schedule[T]) if rep_schedule and T in rep_schedule else R
             for T, _, _ in splits]
     jobs = [(span_for(N, M), s.split(idx), R_T)

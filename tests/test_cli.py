@@ -124,6 +124,11 @@ def test_converge_zero_mse_note(capsys):
      "--policy", "tau:beta=1"],
     ["converge", "--model", "gauss-log", "--budgets", "16,64",
      "--policy", "tau:alpha=1,c=inf"],
+    # A schedule entry for no row's T, and one T scheduled twice.
+    ["converge", "--model", "gauss-log", "--budgets", "16,64", "--reps", "4",
+     "--rep-schedule", "17:3"],
+    ["converge", "--model", "gauss-log", "--budgets", "16,64", "--reps", "4",
+     "--rep-schedule", "16:3,16:5"],
 ])
 def test_config_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
@@ -132,6 +137,9 @@ def test_config_errors_exit_2(capsys, argv):
     if argv[0] == "collapse":
         # The estimator states the collapse rule once, before any draw.
         assert err.count("\n") == 1 and "linear_g" in err
+    if "--rep-schedule" in argv:
+        assert err.count("\n") == 1
+        assert f"T={argv[-1].split(':')[0]}" in err
 
 
 @pytest.mark.parametrize("argv, names", [
@@ -567,6 +575,9 @@ def test_python_m_nestmc():
     # block after block until the cap.
     ["allocate", "--model", "gauss-log", "--T", "1000000000000000", "--reps", "2",
      "--policies", "fixed-inner:M=1"],
+    # The same request fails inside a span, on either of the two threads.
+    ["allocate", "--model", "gauss-log", "--T", "1000000000000000", "--reps", "2",
+     "--policies", "fixed-inner:M=1", "--workers", "2"],
 ])
 def test_unallocatable_request_exits_2(argv):
     # A 1 GiB address-space cap on the child alone makes the TiB-sized

@@ -3,14 +3,17 @@
 import dataclasses
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from nestmc.allocation import FixedInner, FixedOuter, TauPower
 from nestmc.estimators import nmc_estimate, nmc_replications
-from nestmc.harness import (compare_policies, fit_loglog_slope, run_bias,
-                            run_collapsed_convergence, run_convergence,
+from nestmc.harness import (_fill_replications, compare_policies, fit_loglog_slope,
+                            run_bias, run_collapsed_convergence, run_convergence,
                             run_fixed_inner)
 from nestmc.models import CATALOG, bias_quadratic_expected_value
 from nestmc.rng import make_root
@@ -94,6 +97,15 @@ def test_convergence_rep_schedule_and_drop_smallest():
     with pytest.raises(ValueError):
         run_convergence(p, TauPower(1, 1), [16, 64], 40, make_root(1),
                         drop_smallest=-1)
+    # A schedule key that names no row's budget is refused, not ignored.
+    with pytest.raises(ValueError, match="T=17"):
+        run_convergence(p, TauPower(1, 1), [16, 64], 40, make_root(1),
+                        rep_schedule={17: 3})
+    with pytest.raises(ValueError, match="T=17"):
+        run_collapsed_convergence(CATALOG["linear-gauss"](), [16, 64], 40, make_root(1),
+                                  rep_schedule={16: 3, 17: 3})
+    with pytest.raises(ValueError, match="T=20"):
+        run_fixed_inner(p, 4, [4, 16], 40, make_root(1), rep_schedule={20: 3})
 
 
 def test_convergence_row_streams_are_positional():
@@ -104,6 +116,68 @@ def test_convergence_row_streams_are_positional():
     expected = np.mean([nmc_estimate(p, 8, 8, s.split(1).split(r)).value
                         for r in range(2)])
     assert rep.rows[1].mean == pytest.approx(expected, rel=1e-15)
+
+
+# ------------------------------------------------------------ _fill_replications
+
+def _recording_span(log, ended=None, fail_at=None, pause=0.003):
+    """A span that logs (thread, live threads, lo) and sleeps, so threads interleave."""
+    def span(row, lo, hi):
+        log.append((threading.get_ident(), threading.active_count(), lo))
+        time.sleep(pause)
+        if lo == fail_at:
+            raise RuntimeError(f"span at {lo} failed")
+        if ended is not None:
+            ended.append(lo)
+        return np.arange(lo, hi, dtype=float), np.zeros(hi - lo)
+    return span
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calling_thread_is_worker_zero(monkeypatch, workers):
+    # Two workers on any machine: the clamp to the core count is not under test.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    log, me, live = [], threading.get_ident(), threading.active_count()
+    out = _fill_replications([(_recording_span(log), None, 8)] * 4, workers)
+    assert all(np.array_equal(vals, np.arange(8.0)) for vals, _ in out)
+    threads = {t for t, _, _ in log}
+    if workers == 1:
+        # One span per job, all on this thread, and no thread is started.
+        assert [lo for _, _, lo in log] == [0] * 4
+        assert threads == {me} and max(n for _, n, _ in log) == live
+    else:
+        assert len(log) == 32 and me in threads and len(threads) <= 2
+    assert threading.active_count() == live
+
+
+def test_failed_span_stops_the_schedule(monkeypatch):
+    # 32 spans of 4 replications on two workers; the second span fails.  No
+    # span starts after it (a few may start while it runs), and the started
+    # ones finish before the raise.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    log, ended = [], []
+    jobs = [(_recording_span(log, ended, fail_at=4), None, 32)]
+    jobs += [(_recording_span(log, ended), None, 32)] * 3
+    with pytest.raises(RuntimeError, match="span at 4 failed"):
+        _fill_replications(jobs, 2)
+    assert 2 <= len(log) <= 8
+    assert len(ended) == len(log) - 1
+
+
+def test_every_span_runs_once_under_fast_thread_switching(monkeypatch):
+    # More workers than this machine has cores, switching threads every
+    # microsecond: a span taken twice or never would show in a log or a value.
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    logs = [[] for _ in range(5)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = _fill_replications([(_recording_span(log, pause=0), None, 400) for log in logs], 8)
+    finally:
+        sys.setswitchinterval(interval)
+    for log, (vals, _) in zip(logs, out):
+        assert sorted(lo for _, _, lo in log) == list(range(0, 400, 13))
+        assert np.array_equal(vals, np.arange(400.0))
 
 
 # Rows of many, four and three replications per block (N*M = 2**6, 2**14 and
