@@ -13,15 +13,12 @@ Equivalent CLI run:
     nestmc collapse --model linear-gauss --budgets 100:10000:3 --reps 400 --seed 7
 """
 
-from nestmc import CATALOG, TauPower, make_root, run_collapsed_convergence, run_convergence
+from nestmc import CATALOG, make_root, run_collapse
 
 
 def main():
     problem = CATALOG["linear-gauss"]()
-    budgets = [100, 1000, 10000]
-    root = make_root(7)
-    collapsed = run_collapsed_convergence(problem, budgets, 400, root.split(0))
-    nested = run_convergence(problem, TauPower(1, 1), budgets, 400, root.split(1))
+    collapsed, nested = run_collapse(problem, [100, 1000, 10000], 400, make_root(7))
 
     print(f"{'T':>7} {'collapsed mse':>14} {'nested mse':>12} {'nested (N,M)':>13}")
     for crow, nrow in zip(collapsed.rows, nested.rows):

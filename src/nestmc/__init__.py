@@ -14,7 +14,7 @@ from .allocation import (AllocationPolicy, FixedInner, FixedOuter, TauPower,
                          tau, split_budget, budget_grid, parse_policy)
 from .harness import (SlopeFit, ConvergenceRow, ConvergenceReport, BiasRow,
                       BiasReport, PolicyResult, PolicyRanking, fit_loglog_slope,
-                      run_convergence, run_collapsed_convergence, run_bias,
+                      run_convergence, run_collapse, run_bias,
                       run_fixed_inner, compare_policies)
 from .cli import main
 
@@ -32,7 +32,7 @@ __all__ = [
     "tau", "split_budget", "budget_grid", "parse_policy",
     "SlopeFit", "ConvergenceRow", "ConvergenceReport", "BiasRow", "BiasReport",
     "PolicyResult", "PolicyRanking", "fit_loglog_slope",
-    "run_convergence", "run_collapsed_convergence", "run_bias",
+    "run_convergence", "run_collapse", "run_bias",
     "run_fixed_inner", "compare_policies",
     "main",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: run experiments, emit CSV or JSON reports.
 
-Subcommands map one-to-one onto harness runners: converge, bias, allocate,
-collapse, plus a models listing.  Same command line and seed always produce
-byte-identical output, regardless of --workers.
+Subcommands map one-to-one onto harness runners, each of which checks its
+whole configuration and then draws the run in one scheduler call: converge,
+bias, allocate, collapse, plus a models listing.  Same command line and
+seed always produce byte-identical output, regardless of --workers.
 
 Exit codes: 0 success, 2 usage or config error, 3 statistical-degeneracy
 warning (more than 10% of convergence rows flagged).
@@ -22,9 +23,9 @@ from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
-from .allocation import TauPower, budget_grid, parse_policy
-from .harness import (ConvergenceReport, SlopeFit, compare_policies, run_bias,
-                      run_collapsed_convergence, run_convergence)
+from .allocation import budget_grid, parse_policy
+from .harness import (ConvergenceReport, SlopeFit, compare_policies, run_bias, run_collapse,
+                      run_convergence)
 from .models import CATALOG, MODEL_TAGS
 from .problem import NestedProblem
 from .rng import make_root
@@ -293,20 +294,13 @@ def cmd_allocate(cfg: argparse.Namespace) -> int:
 def cmd_collapse(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
     seed = _resolve_seed(cfg)
-    root = make_root(seed)
-    budgets = _parse_grid("--budgets", cfg.budgets)
-    schedule = _parse_schedule(cfg.rep_schedule)
-    # child 0 drives the collapsed sweep, child 1 the nested one
-    collapsed = run_collapsed_convergence(p, budgets, cfg.reps, root.split(0),
-                                          rep_schedule=schedule,
-                                          drop_smallest=cfg.drop_smallest,
-                                          workers=cfg.workers)
-    nested = run_convergence(p, TauPower(1, 1), budgets, cfg.reps, root.split(1),
-                             rep_schedule=schedule, drop_smallest=cfg.drop_smallest,
-                             workers=cfg.workers)
+    collapsed, nested = run_collapse(p, _parse_grid("--budgets", cfg.budgets), cfg.reps,
+                                     make_root(seed),
+                                     rep_schedule=_parse_schedule(cfg.rep_schedule),
+                                     drop_smallest=cfg.drop_smallest, workers=cfg.workers)
     rows = ([["collapsed"] + row for row in _converge_rows(collapsed)]
             + [["nested"] + row for row in _converge_rows(nested)])
-    _write_report(cfg, _COLLAPSE_COLS, rows, (p.name, TauPower(1, 1).name, seed),
+    _write_report(cfg, _COLLAPSE_COLS, rows, (p.name, nested.policy.name, seed),
                   [("collapsed_", collapsed.fit, collapsed.fit_note),
                    ("nested_", nested.fit, nested.fit_note)])
     return _exit_code(collapsed, nested)

@@ -4,9 +4,9 @@ Every runner follows the same pattern: a grid of configurations, R
 independent replications per grid row on streams derived from
 ``s.split(row_index).split(rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
-bit-identical across runs and worker counts.  A sweep hands the
-replications of all its rows to one scheduler call (``_fill_replications``),
-whose calling thread is its first worker, so one worker starts no thread.
+bit-identical across runs and worker counts.  Every runner finishes its
+checks, then hands all its rows to ``_sweep``: one scheduler call per run
+(``_fill_replications``), whose calling thread is its first worker.
 Every row is evaluated a block of replications at a time
 (``nmc_replications``, ``collapsed_replications``), whatever the model's
 samplers.
@@ -24,9 +24,9 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .allocation import AllocationPolicy, FixedInner, split_budget
+from .allocation import AllocationPolicy, FixedInner, TauPower, split_budget
 # nmc_estimate is unused here; it stays bound for bench/tracing.py, which wraps it.
-from .estimators import collapsed_replications, nmc_estimate, nmc_replications
+from .estimators import _check_collapse, collapsed_replications, nmc_estimate, nmc_replications
 from .problem import NestedProblem
 from .rng import RngStream
 
@@ -40,7 +40,7 @@ __all__ = [
     "PolicyRanking",
     "fit_loglog_slope",
     "run_convergence",
-    "run_collapsed_convergence",
+    "run_collapse",
     "run_bias",
     "run_fixed_inner",
     "compare_policies",
@@ -149,15 +149,12 @@ def _require_truth(p: NestedProblem) -> float:
     return float(p.truth)
 
 
-# span(row_stream, lo, hi) -> (values, degenerate_fracs) of replications lo..hi-1,
-# e.g. partial(nmc_replications, p, N, M).
-_SpanFn = Callable[[RngStream, int, int], tuple]
-
-
-def _fill_replications(jobs: Sequence[Tuple[_SpanFn, RngStream, int]], workers: int) -> list:
+def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers: int) -> list:
     """(values, degenerate_fracs) of R replications of each job (span, row_stream, R).
 
-    Replication r of a job uses the stream row_stream.split(r).  Every
+    span(row_stream, lo, hi) gives the (values, degenerate_fracs) of
+    replications lo..hi-1, e.g. partial(nmc_replications, p, N, M), and
+    replication r of a job uses the stream row_stream.split(r).  Every
     job's replications are cut into spans, and the calling thread and
     workers - 1 pool threads take them in turn from one list, so one
     worker starts no thread.  Spans only affect scheduling; values land at
@@ -209,34 +206,36 @@ def _row_statistics(vals: np.ndarray, degf: np.ndarray, truth: float) -> tuple:
     return float(np.mean(used)), se, float(np.mean(sq)), mse_se, degenerate_frac
 
 
-def _check_reps(R: int, rep_schedule: Optional[Mapping[int, int]]) -> None:
-    if R < 2:
-        raise ValueError(f"need R >= 2 replications, got {R}")
-    if rep_schedule:
-        for T, r in rep_schedule.items():
-            if r < 2:
-                raise ValueError(f"rep schedule for T={T} must be >= 2, got {r}")
+def _grid(values: Sequence[int], what: str) -> list:
+    """`values` as sorted distinct ints; an empty grid raises ValueError."""
+    grid = sorted({int(v) for v in values})
+    if not grid:
+        raise ValueError(f"empty {what} grid")
+    return grid
 
 
-def _sweep(p: NestedProblem, splits: Sequence[Tuple[int, int, int]], R: int, s: RngStream,
-           span_for: Callable[[int, int], _SpanFn],
+def _sweep(p: NestedProblem, rows: Sequence[Tuple[int, Callable, RngStream]], R: int,
            rep_schedule: Optional[Mapping[int, int]], workers: int) -> list:
-    """(reps, *_row_statistics) of each row (T, N, M) of `splits`.
+    """(reps, *_row_statistics) of each row (T, span, row_stream), from one scheduler call.
 
-    Row idx draws its replications with span_for(N, M) on s.split(idx):
-    rep_schedule[T] of them when the schedule names T, R otherwise.  A
-    schedule key that is no row's T raises ValueError before any draw.
+    A row draws its replications with span on the children of row_stream:
+    rep_schedule[T] of them when the schedule names T, R otherwise.  The
+    truth, the replication counts and the schedule's keys are checked
+    before any draw; a key that is no row's T raises ValueError.
     """
     truth = _require_truth(p)
-    _check_reps(R, rep_schedule)
-    unknown = sorted(set(rep_schedule or ()) - {T for T, _, _ in splits})
-    if unknown:
-        raise ValueError(f"rep schedule names T={unknown[0]}, which is no row's budget "
-                         f"(rows: T={', '.join(str(T) for T, _, _ in splits)})")
-    reps = [int(rep_schedule[T]) if rep_schedule and T in rep_schedule else R
-            for T, _, _ in splits]
-    jobs = [(span_for(N, M), s.split(idx), R_T)
-            for idx, ((_, N, M), R_T) in enumerate(zip(splits, reps))]
+    if R < 2:
+        raise ValueError(f"need R >= 2 replications, got {R}")
+    schedule = rep_schedule or {}
+    Ts = sorted({T for T, _, _ in rows})
+    for T, r in sorted(schedule.items()):
+        if r < 2:
+            raise ValueError(f"rep schedule for T={T} must be >= 2, got {r}")
+        if T not in Ts:
+            raise ValueError(f"rep schedule names T={T}, which is no row's budget "
+                             f"(rows: T={', '.join(map(str, Ts))})")
+    reps = [int(schedule[T]) if T in schedule else R for T, _, _ in rows]
+    jobs = [(span, row, R_T) for (_, span, row), R_T in zip(rows, reps)]
     return [(R_T, *_row_statistics(vals, degf, truth))
             for R_T, (vals, degf) in zip(reps, _fill_replications(jobs, workers))]
 
@@ -250,29 +249,40 @@ def _fit(points: Sequence[Tuple[float, float]], zero_note: str) -> tuple:
     return fit_loglog_slope(points), ""
 
 
-def _convergence(p: NestedProblem, policy: Optional[AllocationPolicy],
-                 splits: Sequence[Tuple[int, int, int]], R: int, s: RngStream,
-                 span_for: Callable[[int, int], _SpanFn],
-                 rep_schedule: Optional[Mapping[int, int]], drop_smallest: int,
-                 workers: int) -> ConvergenceReport:
-    stats = _sweep(p, splits, R, s, span_for, rep_schedule, workers)
+def _convergence(p: NestedProblem, sweeps: Sequence[Tuple[Optional[AllocationPolicy], RngStream]],
+                 budgets: Sequence[int], R: int, rep_schedule: Optional[Mapping[int, int]],
+                 drop_smallest: int, workers: int) -> list:
+    """A ConvergenceReport of the budget grid for each (policy, s) of `sweeps`, from one _sweep.
+
+    A policy splits each budget T into (N, M); None runs the collapsed
+    estimator at N = T, M = 1.  Row idx of a sweep draws on s.split(idx).
+    """
     if drop_smallest < 0:
         raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
-    rows = tuple(ConvergenceRow(T=T, N=N, M=M, reps=reps, mean=mean, mse=mse, mse_se=mse_se,
-                                degenerate_frac=dfrac,
-                                flagged=dfrac >= DEGENERATE_ROW_THRESHOLD)
-                 for (T, N, M), (reps, mean, _, mse, mse_se, dfrac) in zip(splits, stats))
-    fit, note = _fit([(r.T, r.mse) for r in rows[drop_smallest:] if not r.flagged],
-                     "degenerate: zero MSE")
-    return ConvergenceReport(model=p.name, policy=policy, rows=rows,
-                             fit=fit, fit_note=note, root_seed=s.root_seed)
-
-
-def _budget_list(budgets: Sequence[int]) -> list:
-    Ts = sorted({int(T) for T in budgets})
-    if not Ts:
-        raise ValueError("empty budget grid")
-    return Ts
+    Ts = _grid(budgets, "budget")
+    plans = []
+    for policy, _ in sweeps:
+        if policy is None:
+            _check_collapse(p, Ts[0])
+            plans.append([(T, T, 1, partial(collapsed_replications, p, T)) for T in Ts])
+        else:
+            splits = [(T, *split_budget(policy, T)) for T in Ts]
+            plans.append([(T, N, M, partial(nmc_replications, p, N, M)) for T, N, M in splits])
+    stats = iter(_sweep(p, [(T, span, s.split(idx))
+                            for (_, s), plan in zip(sweeps, plans)
+                            for idx, (T, _, _, span) in enumerate(plan)],
+                        R, rep_schedule, workers))
+    reports = []  # zip takes each sweep's share of `stats` in turn
+    for (policy, s), plan in zip(sweeps, plans):
+        rows = tuple(ConvergenceRow(T=T, N=N, M=M, reps=reps, mean=mean, mse=mse, mse_se=mse_se,
+                                    degenerate_frac=dfrac,
+                                    flagged=dfrac >= DEGENERATE_ROW_THRESHOLD)
+                     for (T, N, M, _), (reps, mean, _, mse, mse_se, dfrac) in zip(plan, stats))
+        fit, note = _fit([(r.T, r.mse) for r in rows[drop_smallest:] if not r.flagged],
+                         "degenerate: zero MSE")
+        reports.append(ConvergenceReport(model=p.name, policy=policy, rows=rows, fit=fit,
+                                         fit_note=note, root_seed=s.root_seed))
+    return reports
 
 
 def run_convergence(p: NestedProblem, policy: AllocationPolicy, budgets: Sequence[int],
@@ -285,22 +295,20 @@ def run_convergence(p: NestedProblem, policy: AllocationPolicy, budgets: Sequenc
     degenerate fraction reaches 10% are flagged and left out of the fit,
     as are the `drop_smallest` smallest budgets.
     """
-    splits = [(T, *split_budget(policy, T)) for T in _budget_list(budgets)]
-    span_for = lambda N, M: partial(nmc_replications, p, N, M)
-    return _convergence(p, policy, splits, R, s, span_for, rep_schedule, drop_smallest, workers)
+    return _convergence(p, [(policy, s)], budgets, R, rep_schedule, drop_smallest, workers)[0]
 
 
-def run_collapsed_convergence(p: NestedProblem, Ns: Sequence[int], R: int, s: RngStream, *,
-                              rep_schedule: Optional[Mapping[int, int]] = None,
-                              drop_smallest: int = 0, workers: int = 1) -> ConvergenceReport:
-    """MSE of the collapsed (single-expectation) estimator across an N grid.
+def run_collapse(p: NestedProblem, budgets: Sequence[int], R: int, s: RngStream, *,
+                 rep_schedule: Optional[Mapping[int, int]] = None, drop_smallest: int = 0,
+                 workers: int = 1) -> Tuple[ConvergenceReport, ConvergenceReport]:
+    """(collapsed, nested) convergence reports on one budget grid, drawn in one scheduler call.
 
-    Each outer draw consumes one joint sample, so T = N and the M column
-    is 1.  Requires a model with linear_g.
+    The collapsed (single-expectation) estimator, T = N and M = 1, runs on
+    s.split(0); run_convergence under tau:alpha=1,c=1 on s.split(1).
+    Requires a model with linear_g.
     """
-    splits = [(N, N, 1) for N in _budget_list(Ns)]
-    span_for = lambda N, M: partial(collapsed_replications, p, N)
-    return _convergence(p, None, splits, R, s, span_for, rep_schedule, drop_smallest, workers)
+    return tuple(_convergence(p, [(None, s.split(0)), (TauPower(1, 1), s.split(1))],
+                              budgets, R, rep_schedule, drop_smallest, workers))
 
 
 def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, *,
@@ -312,16 +320,14 @@ def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, 
     exactly zero, or none at all (no finite replication), makes the log fit
     degenerate and is noted instead.
     """
-    truth = _require_truth(p)
-    _check_reps(R, None)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    Ms = sorted({int(M) for M in Ms})
-    if Ms and Ms[0] < 1:
+    Ms = _grid(Ms, "inner-count")
+    if Ms[0] < 1:
         raise ValueError(f"inner counts must be >= 1, got {Ms[0]}")
-    splits = [(N * M, N, M) for M in Ms]
-    span_for = lambda N, M: partial(nmc_replications, p, N, M)
-    stats = _sweep(p, splits, R, s, span_for, None, workers)
+    stats = _sweep(p, [(N * M, partial(nmc_replications, p, N, M), s.split(idx))
+                       for idx, M in enumerate(Ms)], R, None, workers)
+    truth = float(p.truth)
     rows = tuple(BiasRow(M=M, N=N, reps=R, mean_error=mean - truth, se=se,
                          predicted=None if p.expected_nmc_value is None
                          else float(p.expected_nmc_value(M)) - truth)
@@ -357,14 +363,11 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
     policy differences are not drowned by replication noise.  All splits
     are computed first; an infeasible policy faults before any sampling.
     """
-    truth = _require_truth(p)
-    _check_reps(R, None)
     if not policies:
         raise ValueError("need at least one policy to compare")
     splits = [split_budget(policy, T) for policy in policies]
-    jobs = [(partial(nmc_replications, p, N, M), s, R) for N, M in splits]
-    stats = [_row_statistics(vals, degf, truth)[2:4]
-             for vals, degf in _fill_replications(jobs, workers)]
+    stats = [st[3:5] for st in _sweep(p, [(T, partial(nmc_replications, p, N, M), s)
+                                          for N, M in splits], R, None, workers)]
     order = sorted(range(len(stats)), key=lambda j: (stats[j][0], j))
     results = tuple(PolicyResult(policy=policies[j], N=splits[j][0], M=splits[j][1],
                                  mse=stats[j][0], mse_se=stats[j][1], rank=rank)

@@ -28,9 +28,8 @@ from scipy.special import roots_legendre
 from exact_law import linear_mse, log_mse
 from nestmc.allocation import FixedOuter, TauPower, split_budget
 from nestmc.cli import main
-from nestmc.harness import (compare_policies, fit_loglog_slope, run_bias,
-                            run_collapsed_convergence, run_convergence,
-                            run_fixed_inner)
+from nestmc.harness import (compare_policies, fit_loglog_slope, run_bias, run_collapse,
+                            run_convergence, run_fixed_inner)
 from nestmc.models import CATALOG, bias_quadratic_expected_value
 from nestmc.problem import gamma_quadrature, validate
 from nestmc.rng import make_root
@@ -100,9 +99,9 @@ def test_criterion_3_linear_collapse():
     policy = TauPower(1, 1)
     grid = [10**k for k in range(2, 6)]
     law = [(T, linear_mse(p, *split_budget(policy, T))) for T in grid]
-    root = make_root(SEED)
-    col = run_collapsed_convergence(p, grid, 1000, root.split(0), workers=WORKERS)
-    nest = run_convergence(p, policy, grid, 1000, root.split(1), workers=WORKERS)
+    # The collapsed sweep draws on make_root(SEED).split(0), the nested one,
+    # under tau:alpha=1,c=1, on .split(1).
+    col, nest = run_collapse(p, grid, 1000, make_root(SEED), workers=WORKERS)
     ok_col = -1.15 <= col.fit.slope <= -0.85
     ok_nest, nest_detail = _law_check("nested slope", nest.fit.slope, law, 0.15, "-0.5")
     _report(3, ok_col and ok_nest,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nestmc import cli
+from nestmc import cli, harness
 from nestmc.allocation import TauPower, split_budget
 from nestmc.cli import _cell, main
 from nestmc.models import CATALOG
@@ -76,6 +76,10 @@ def test_models_faults_name_the_bad_argument(capsys, tmp_path, monkeypatch, argv
 
 
 # -------------------------------------------------------------------- converge
+
+_SEED_ARGS = ["converge", "--model", "gauss-log", "--budgets", "16,64",
+              "--reps", "4"]
+
 
 def test_converge_csv_layout(capsys):
     code, out, _ = run_cli(capsys, ["converge", "--model", "gauss-log",
@@ -170,23 +174,59 @@ def test_overflowing_tau_policy_splits_one_by_one(capsys):
     assert [(r[1], r[2]) for r in rows] == [("1", "1"), ("1", "1")]
 
 
+_COLLAPSE_ARGS = ["collapse", "--model", "linear-gauss", "--budgets", "16,64", "--reps", "4"]
+
+
+# Flags added to _SEED_ARGS, or whole command lines, which begin with a subcommand.
 @pytest.mark.parametrize("extra", [
     ["--out", "{tmp}/missing/report.csv"],
     ["--out", "{tmp}"],
     ["--workers", "0"],
     ["--workers", "-3"],
+    # A whole grid of rows up to 10**7 draws would run before this fault was seen.
+    ["converge", "--model", "gauss-log", "--budgets", "16:10000000:3", "--reps", "20",
+     "--drop-smallest", "-1"],
+    _COLLAPSE_ARGS + ["--drop-smallest", "-1"],
+    # The collapsed sweep takes T = 1; the nested one cannot split it.
+    ["collapse", "--model", "linear-gauss", "--budgets", "1,2,2000000", "--reps", "50"],
+    ["collapse", "--model", "linear-gauss", "--budgets", "1,2,100", "--reps", "4"],
+    ["collapse", "--model", "gauss-log", "--budgets", "16,64", "--reps", "4"],
+    _COLLAPSE_ARGS + ["--rep-schedule", "17:3"],
+    ["--rep-schedule", "16:3,17:3"],
 ])
 def test_run_faults_exit_2_before_computing(capsys, monkeypatch, tmp_path, extra):
+    # Every runner reaches the scheduler through this one entry.
     def never(*args, **kwargs):
         raise AssertionError("computation started")
 
-    for runner in ("run_convergence", "run_collapsed_convergence", "run_bias",
-                   "compare_policies"):
-        monkeypatch.setattr(cli, runner, never)
-    extra = [x.replace("{tmp}", str(tmp_path)) for x in extra]
-    code, out, err = run_cli(capsys, _SEED_ARGS + extra)
+    monkeypatch.setattr(harness, "_fill_replications", never)
+    argv = extra if extra[0] in ("converge", "collapse") else _SEED_ARGS + extra
+    code, out, err = run_cli(capsys, [x.replace("{tmp}", str(tmp_path)) for x in argv])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    _SEED_ARGS,
+    ["bias", "--model", "bias-quad-pos", "--N", "8", "--Ms", "2,4", "--reps", "4"],
+    ["allocate", "--model", "gauss-log", "--T", "256", "--reps", "4",
+     "--policies", "tau:alpha=1,c=1;fixed-inner:M=4"],
+    _COLLAPSE_ARGS,
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_each_run_makes_one_scheduler_call(capsys, monkeypatch, argv, workers):
+    calls = []
+    fill = harness._fill_replications
+
+    def counted(jobs, w):
+        calls.append(len(jobs))
+        return fill(jobs, w)
+
+    monkeypatch.setattr(harness, "_fill_replications", counted)
+    code, _, _ = run_cli(capsys, argv + ["--workers", workers])
+    assert code == 0 and len(calls) == 1
+    # collapse draws both of its sweeps in the one call.
+    assert calls[0] == (4 if argv[0] == "collapse" else 2)
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):
@@ -403,10 +443,6 @@ def test_collapse_json_two_fits(capsys):
 
 
 # ----------------------------------------------------------------------- seeds
-
-_SEED_ARGS = ["converge", "--model", "gauss-log", "--budgets", "16,64",
-              "--reps", "4"]
-
 
 def test_seed_precedence(capsys, monkeypatch):
     _, by_flag, _ = run_cli(capsys, _SEED_ARGS + ["--seed", "5"])

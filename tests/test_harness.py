@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from nestmc.allocation import FixedInner, FixedOuter, TauPower
-from nestmc.estimators import nmc_estimate, nmc_replications
+from nestmc import harness
+from nestmc.estimators import collapsed_replications, nmc_estimate, nmc_replications
 from nestmc.harness import (_fill_replications, compare_policies, fit_loglog_slope,
-                            run_bias, run_collapsed_convergence, run_convergence,
-                            run_fixed_inner)
+                            run_bias, run_collapse, run_convergence, run_fixed_inner)
 from nestmc.models import CATALOG, bias_quadratic_expected_value
 from nestmc.rng import make_root
 
@@ -94,16 +94,19 @@ def test_convergence_rep_schedule_and_drop_smallest():
     with pytest.raises(ValueError):
         run_convergence(p, TauPower(1, 1), [16], 40, make_root(1),
                         rep_schedule={16: 1})
-    with pytest.raises(ValueError):
-        run_convergence(p, TauPower(1, 1), [16, 64], 40, make_root(1),
-                        drop_smallest=-1)
+    for run in (lambda **kw: run_convergence(p, TauPower(1, 1), [16, 64], 40, make_root(1), **kw),
+                lambda **kw: run_fixed_inner(p, 4, [4, 16], 40, make_root(1), **kw),
+                lambda **kw: run_collapse(CATALOG["linear-gauss"](), [16, 64], 40, make_root(1),
+                                          **kw)):
+        with pytest.raises(ValueError, match="drop_smallest"):
+            run(drop_smallest=-1)
     # A schedule key that names no row's budget is refused, not ignored.
     with pytest.raises(ValueError, match="T=17"):
         run_convergence(p, TauPower(1, 1), [16, 64], 40, make_root(1),
                         rep_schedule={17: 3})
     with pytest.raises(ValueError, match="T=17"):
-        run_collapsed_convergence(CATALOG["linear-gauss"](), [16, 64], 40, make_root(1),
-                                  rep_schedule={16: 3, 17: 3})
+        run_collapse(CATALOG["linear-gauss"](), [16, 64], 40, make_root(1),
+                     rep_schedule={16: 3, 17: 3})
     with pytest.raises(ValueError, match="T=20"):
         run_fixed_inner(p, 4, [4, 16], 40, make_root(1), rep_schedule={20: 3})
 
@@ -194,7 +197,8 @@ def test_row_replications_equal_nmc_estimate_across_block_budget(N, M, workers):
     assert rep.rows[1].mean == expected
 
 
-# A model without batch samplers goes one scalar estimate per replication.
+# A model without batch samplers has its scalar samplers run stream by
+# stream (StreamBatch.each) under the same blocks, with the same values.
 _RUNNERS = {
     # 4x4 and 130x130: rows of 4096 and 3 replications per block.
     "convergence": lambda p, s, w: run_convergence(p, TauPower(1, 1), [16, 16900], 2, s,
@@ -202,7 +206,7 @@ _RUNNERS = {
     "bias": lambda p, s, w: run_bias(p, 6, [2, 9], 3, s, workers=w),
     "policies": lambda p, s, w: compare_policies(p, 400, [TauPower(1, 1), FixedOuter(2)], 3,
                                                  s, workers=w),
-    "collapsed": lambda p, s, w: run_collapsed_convergence(p, [10, 300], 3, s, workers=w),
+    "collapsed": lambda p, s, w: run_collapse(p, [10, 300], 3, s, workers=w),
 }
 
 
@@ -244,16 +248,41 @@ def test_convergence_mse_strictly_decreasing_on_benchmark():
     assert drops >= 6
 
 
-# ---------------------------------------------------- run_collapsed_convergence
+# ---------------------------------------------------------------- run_collapse
 
 def test_collapsed_sweep_rows_and_rate():
     p = CATALOG["linear-gauss"]()
-    rep = run_collapsed_convergence(p, [100, 1000, 10000], 150, make_root(5))
+    rep = run_collapse(p, [100, 1000, 10000], 150, make_root(5))[0]
     assert [(r.T, r.N, r.M) for r in rep.rows] == [(100, 100, 1),
                                                    (1000, 1000, 1),
                                                    (10000, 10000, 1)]
     assert rep.policy is None
     assert -1.3 < rep.fit.slope < -0.7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_collapse_halves_replay_their_streams(monkeypatch, workers):
+    # The collapsed half's row idx draws collapsed_replications on
+    # s.split(0).split(idx); the nested half is run_convergence on s.split(1).
+    # Both halves go to one scheduler call.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    p, s, budgets, R = CATALOG["linear-gauss"](), make_root(5), [64, 16, 300], 5
+    calls = []
+
+    def recorded(jobs, w):
+        calls.append(_fill_replications(jobs, w))
+        return calls[-1]
+
+    monkeypatch.setattr(harness, "_fill_replications", recorded)
+    collapsed, nested = run_collapse(p, budgets, R, s, workers=workers)
+    (filled,) = calls
+    assert len(filled) == 6 and [r.T for r in collapsed.rows] == [16, 64, 300]
+    for idx, r in enumerate(collapsed.rows):
+        want = collapsed_replications(p, r.T, s.split(0).split(idx), 0, R)
+        assert all(np.array_equal(a, b) for a, b in zip(filled[idx], want))
+        assert (r.N, r.M) == (r.T, 1)
+    assert nested == run_convergence(p, TauPower(1, 1), budgets, R, s.split(1))
+    assert collapsed.policy is None and collapsed.root_seed == 5
 
 
 # -------------------------------------------------------------------- run_bias
@@ -321,6 +350,8 @@ def test_bias_faults():
         run_bias(p, 0, [2, 4], 10, make_root(0))
     with pytest.raises(ValueError):
         run_bias(p, 10, [0, 4], 10, make_root(0))
+    with pytest.raises(ValueError, match="empty inner-count grid"):
+        run_bias(p, 10, [], 10, make_root(0))
 
 
 def test_bias_worker_count_is_invisible():
