@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         sp.add_argument("--workers", type=int, default=1,
-                        help="worker threads, at most one per core; "
+                        help="worker processes, at most one per core; "
                              "output is identical for any value")
 
     c = report("converge", cmd_converge, "MSE vs total budget under one policy")

@@ -6,7 +6,10 @@ independent replications per grid row on streams derived from
 the model's exact truth.  Stream assignment by index makes every report
 bit-identical across runs and worker counts.  Every runner finishes its
 checks, then hands all its rows to ``_sweep``: one scheduler call per run
-(``_fill_replications``), whose calling thread is its first worker.
+(``_fill_replications``).  The calling process is its first worker, and
+more workers are children made by ``os.fork`` (none where fork is
+missing: the count clamps to 1).  Python >= 3.12 warns when a process
+with live threads forks.
 Every row is evaluated a block of replications at a time
 (``nmc_replications``, ``collapsed_replications``), whatever the model's
 samplers.
@@ -15,9 +18,10 @@ samplers.
 from __future__ import annotations
 
 import math
+import mmap
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import select
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Optional, Sequence, Tuple
@@ -149,41 +153,166 @@ def _require_truth(p: NestedProblem) -> float:
     return float(p.truth)
 
 
+def _shared_empty(n: int) -> np.ndarray:
+    """An uninitialised float64 array of n elements in a mapping forked children share.
+
+    A mapping that cannot be made raises the MemoryError that np.empty
+    raises for the same request, so the error reads as with one worker.
+    """
+    try:
+        buf = mmap.mmap(-1, max(n, 1) * 8)  # anonymous and MAP_SHARED
+    except (OSError, OverflowError) as err:
+        np.empty(n)  # raises numpy's MemoryError for a request this size
+        raise MemoryError(f"cannot map {n} float64 values shared with worker processes: "
+                          f"{err}") from None
+    return np.frombuffer(buf, np.float64, n)
+
+
+def _claims(r: int, stop: mmap.mmap):
+    """Span indices read as 4-byte tokens from pipe end `r`, until it ends or a span failed.
+
+    A pipe read of 4 bytes is atomic, so each token goes to one reader.
+    """
+    while len(token := os.read(r, 4)) == 4 and not stop[0]:
+        yield int.from_bytes(token, "little")
+
+
+def _feed(n: int, w, r: int, stop: mmap.mmap):
+    """The calling process's span indices, while it writes 0..n-1 as tokens into the pipe (w, r).
+
+    Writes of at most PIPE_BUF bytes to the non-blocking end `w` are whole
+    or refused; whenever the pipe is full, this process runs the last
+    unwritten span itself.  With every token written it closes `w`, so the
+    readers see the pipe end, and reads like any child.
+    """
+    tokens = np.arange(n, dtype="<u4").tobytes()
+    lo, hi = 0, len(tokens)
+    while lo < hi and not stop[0]:
+        n = w.write(tokens[lo:min(hi, lo + select.PIPE_BUF)])
+        if n is None:  # full
+            hi -= 4
+            yield int.from_bytes(tokens[hi:hi + 4], "little")
+        else:
+            lo += n
+    w.close()
+    yield from _claims(r, stop)
+
+
+def _work(claims, run: Callable[[int], None], stop: mmap.mmap) -> Optional[tuple]:
+    """Run the spans of `claims`; (span index, error) of a failed one, else None.
+
+    A failure sets `stop`, so no worker starts another span.
+    """
+    for i in claims:
+        try:
+            run(i)
+        except BaseException as err:
+            stop[0] = 1
+            return i, err
+    return None
+
+
+def _child(claims, run: Callable[[int], None], stop: mmap.mmap, err_w: int) -> None:
+    """A forked worker: run spans, write a failure pickled to pipe end `err_w`, and _exit.
+
+    An error that does not survive pickling is sent as a RuntimeError
+    naming its type.  The child never returns into the caller's frames
+    and never flushes buffers it inherited.
+    """
+    code = 1
+    try:
+        failure = _work(claims, run, stop)
+        if failure is not None:
+            i, err = failure
+            try:
+                data = pickle.dumps(failure)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((i, RuntimeError(f"{type(err).__name__}: {err}")))
+            while data:
+                data = data[os.write(err_w, data):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_work(children: int, n: int, run: Callable[[int], None], stop: mmap.mmap) -> list:
+    """The failures of spans 0..n-1 run by this process and `children` forked ones.
+
+    Every worker claims spans from one pipe of span indices (`_feed`,
+    `_claims`).  Whatever way this process leaves, no span starts after
+    it stops, and every child is reaped first.
+    """
+    r, w = os.pipe()
+    os.set_blocking(w, False)
+    w = open(w, "wb", buffering=0)
+    failures, reports = [], []
+    try:
+        for _ in range(children):
+            err_r, err_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                w.close()
+                os.close(err_r)
+                _child(_claims(r, stop), run, stop, err_w)
+            os.close(err_w)
+            reports.append((pid, err_r))
+        failures.append(_work(_feed(n, w, r, stop), run, stop))
+    finally:
+        stop[0] = 1
+        w.close()
+        for pid, err_r in reports:
+            with open(err_r, "rb") as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            if data:
+                failures.append(pickle.loads(data))
+            elif status:
+                failures.append((-1, RuntimeError(f"a worker process ended with wait "
+                                                  f"status {status}")))
+        os.close(r)
+    return failures
+
+
 def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers: int) -> list:
     """(values, degenerate_fracs) of R replications of each job (span, row_stream, R).
 
     span(row_stream, lo, hi) gives the (values, degenerate_fracs) of
     replications lo..hi-1, e.g. partial(nmc_replications, p, N, M), and
     replication r of a job uses the stream row_stream.split(r).  Every
-    job's replications are cut into spans, and the calling thread and
-    workers - 1 pool threads take them in turn from one list, so one
-    worker starts no thread.  Spans only affect scheduling; values land at
-    [r] regardless, so output is identical for any worker count.  Workers
-    never outnumber the machine's cores.  After a span fails no span
-    starts; the started ones finish, then the error is raised.
+    job's replications are cut into spans, run in order by the calling
+    process when it is the only worker, else claimed in turn by it and
+    workers - 1 children made by os.fork (`_forked_work`).  The job table
+    is made before the fork and inherited, so spans are never pickled;
+    values land in mappings the children share (`_shared_empty`).  Spans
+    only affect scheduling; values land at [r] regardless, so output is
+    identical for any worker count.  Workers never outnumber the
+    machine's cores or the spans, and are 1 where os.fork is missing.
+    After a span fails no span starts; the started ones finish, every
+    child is reaped, then the error of the failed span of lowest index is
+    raised here, with its type and message.
     """
-    workers = min(workers, os.cpu_count() or 1)
-    out, tasks = [], []
-    for span, row, R in jobs:
-        vals, degf = np.empty(R), np.empty(R)
-        out.append((vals, degf))
+    workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    tasks = []
+    for j, (_, _, R) in enumerate(jobs):
         step = R if workers <= 1 else max(1, math.ceil(R / (workers * 4)))
-        tasks += [(span, row, lo, min(lo + step, R), vals, degf) for lo in range(0, R, step)]
-    todo = iter(tasks)  # next() on a list iterator is atomic under the GIL
+        tasks += [(j, lo, min(lo + step, R)) for lo in range(0, R, step)]
+    children = min(workers, len(tasks)) - 1
+    empty = _shared_empty if children > 0 else np.empty
+    out = [(empty(R), empty(R)) for _, _, R in jobs]
 
-    def drain():
-        try:
-            for span, row, lo, hi, vals, degf in todo:
-                vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
-        except BaseException:
-            deque(todo, maxlen=0)
-            raise
+    def run(i):
+        j, lo, hi = tasks[i]
+        span, row, _ = jobs[j]
+        vals, degf = out[j]
+        vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
 
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        helpers = [ex.submit(drain) for _ in range(workers - 1)]
-        drain()
-        for helper in helpers:
-            helper.result()
+    stop = mmap.mmap(-1, 1)  # byte 0 is set once a span fails
+    failures = (_forked_work(children, len(tasks), run, stop) if children > 0
+                else [_work(range(len(tasks)), run, stop)])
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
     return out
 
 
@@ -349,8 +478,10 @@ def run_fixed_inner(p: NestedProblem, M: int, Ns: Sequence[int], R: int, s: RngS
     """
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    budgets = [int(N) * M for N in Ns]
-    return run_convergence(p, FixedInner(M), budgets, R, s,
+    Ns = _grid(Ns, "outer-count")
+    if Ns[0] < 1:
+        raise ValueError(f"outer counts N must be >= 1, got {Ns[0]}")
+    return run_convergence(p, FixedInner(M), [N * M for N in Ns], R, s,
                            rep_schedule=rep_schedule, drop_smallest=drop_smallest,
                            workers=workers)
 

@@ -113,7 +113,8 @@ def skip_offsets(counts) -> np.ndarray:
 def _to_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Top 53 bits -> float64 in [0, 1), written to `out`; shifts `bits` in place."""
     bits >>= _S11
-    return np.multiply(bits, _TO_UNIT, out=out)
+    # Below 2**53 after the shift: the int64 view converts exactly, and faster.
+    return np.multiply(bits.view(np.int64), _TO_UNIT, out=out)
 
 
 def _radius(u: np.ndarray) -> np.ndarray:
@@ -177,7 +178,7 @@ def _box_muller(u: np.ndarray, w: np.ndarray, out: np.ndarray, t: np.ndarray) ->
     np.left_shift(w, _S62, out=signs)
     signs &= _SIGN
     w >>= _S11
-    b = np.multiply(w, _TO_HALF_ANGLE, out=w.view(np.float64))
+    b = np.multiply(w.view(np.int64), _TO_HALF_ANGLE, out=w.view(np.float64))
     b_bits = b.view(np.uint64)
     b_bits ^= signs
     c = _cos(b, out, t)

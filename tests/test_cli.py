@@ -611,7 +611,7 @@ def test_python_m_nestmc():
     # block after block until the cap.
     ["allocate", "--model", "gauss-log", "--T", "1000000000000000", "--reps", "2",
      "--policies", "fixed-inner:M=1"],
-    # The same request fails inside a span, on either of the two threads.
+    # The same request fails inside a span, in either of the two processes.
     ["allocate", "--model", "gauss-log", "--T", "1000000000000000", "--reps", "2",
      "--policies", "fixed-inner:M=1", "--workers", "2"],
 ])

@@ -71,7 +71,7 @@ CASES = {
         "--budgets", "1,2,7", "--reps", "11", "--drop-smallest", "1",
         "--seed", "5", "--format", "json"],
     # M = 20000 and 70000 at N = 3: one row of one replication per block and one
-    # above the within-row chunk; two worker threads.
+    # above the within-row chunk; two workers.
     "converge-workers2.json": [
         "converge", "--model", "gauss-log", "--policy", "fixed-outer:N=3",
         "--budgets", "12,60000,210000", "--reps", "5", "--seed", "8",

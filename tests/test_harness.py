@@ -3,8 +3,7 @@
 import dataclasses
 import math
 import os
-import sys
-import threading
+import signal
 import time
 
 import numpy as np
@@ -16,6 +15,7 @@ from nestmc.estimators import collapsed_replications, nmc_estimate, nmc_replicat
 from nestmc.harness import (_fill_replications, compare_policies, fit_loglog_slope,
                             run_bias, run_collapse, run_convergence, run_fixed_inner)
 from nestmc.models import CATALOG, bias_quadratic_expected_value
+from nestmc.problem import NestedProblem
 from nestmc.rng import make_root
 
 # The slow runners below use every core; their values do not depend on it.
@@ -123,64 +123,169 @@ def test_convergence_row_streams_are_positional():
 
 # ------------------------------------------------------------ _fill_replications
 
-def _recording_span(log, ended=None, fail_at=None, pause=0.003):
-    """A span that logs (thread, live threads, lo) and sleeps, so threads interleave."""
+def _logging_span(log, fail_in=None, pause=0.003):
+    """A span that appends "pid lo start" and "pid lo end" lines to the file `log`.
+
+    Single appends to one file are atomic, so the lines of every process
+    land whole and in one order.  It returns the replication indices as
+    values and the pid of the process that ran it as degenerate fractions.
+    With `fail_in` it fails on its second call in the caller ("parent") or
+    in a child ("child").
+    """
+    me, calls = os.getpid(), []
+
+    def append(line):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, line.encode())
+        finally:
+            os.close(fd)
+
     def span(row, lo, hi):
-        log.append((threading.get_ident(), threading.active_count(), lo))
+        pid = os.getpid()
+        calls.append(lo)  # this process's copy of the list
+        append(f"{pid} {lo} start\n")
         time.sleep(pause)
-        if lo == fail_at:
-            raise RuntimeError(f"span at {lo} failed")
-        if ended is not None:
-            ended.append(lo)
-        return np.arange(lo, hi, dtype=float), np.zeros(hi - lo)
+        where = "parent" if pid == me else "child"
+        if fail_in == where and len(calls) == 2:
+            append(f"{pid} {lo} fail\n")
+            raise RuntimeError(f"span at {lo} failed in the {where}")
+        append(f"{pid} {lo} end\n")
+        return np.arange(lo, hi, dtype=float), np.full(hi - lo, float(pid))
     return span
 
 
+def _log(path):
+    """(pid, lo, event) of each line of a span log, in order."""
+    with open(path) as fh:
+        return [(int(pid), int(lo), event) for pid, lo, event in map(str.split, fh)]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_calling_thread_is_worker_zero(monkeypatch, workers):
+def test_calling_process_is_worker_zero(monkeypatch, tmp_path, workers):
     # Two workers on any machine: the clamp to the core count is not under test.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    log, me, live = [], threading.get_ident(), threading.active_count()
-    out = _fill_replications([(_recording_span(log), None, 8)] * 4, workers)
+    log, me = tmp_path / "spans", os.getpid()
+    out = _fill_replications([(_logging_span(log), None, 8)] * 4, workers)
     assert all(np.array_equal(vals, np.arange(8.0)) for vals, _ in out)
-    threads = {t for t, _, _ in log}
+    ran = {float(pid) for _, pids in out for pid in pids}
+    starts = sorted(lo for _, lo, event in _log(log) if event == "start")
     if workers == 1:
-        # One span per job, all on this thread, and no thread is started.
-        assert [lo for _, _, lo in log] == [0] * 4
-        assert threads == {me} and max(n for _, n, _ in log) == live
+        # One span per job, all in this process, and no process is forked.
+        assert starts == [0] * 4 and ran == {me}
     else:
-        assert len(log) == 32 and me in threads and len(threads) <= 2
-    assert threading.active_count() == live
+        # Every span once; this process runs some, one child at most the rest.
+        assert starts == sorted(list(range(8)) * 4) and me in ran and len(ran) <= 2
+    assert {pid for pid, _, _ in _log(log)} == ran and _no_child_left()
 
 
-def test_failed_span_stops_the_schedule(monkeypatch):
-    # 32 spans of 4 replications on two workers; the second span fails.  No
-    # span starts after it (a few may start while it runs), and the started
-    # ones finish before the raise.
+def test_failed_span_stops_the_schedule(monkeypatch, tmp_path):
+    # 32 spans of 4 replications on two workers; the second span that the
+    # caller (then its child) runs fails.  No span starts after it, but one
+    # the other process claimed as it failed; the started ones finish, and
+    # the error is raised here with its type and message.  How many spans
+    # the caller starts before its child's second depends on the fork's
+    # speed, so only the caller's failure bounds the count.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    log, ended = [], []
-    jobs = [(_recording_span(log, ended, fail_at=4), None, 32)]
-    jobs += [(_recording_span(log, ended), None, 32)] * 3
-    with pytest.raises(RuntimeError, match="span at 4 failed"):
-        _fill_replications(jobs, 2)
-    assert 2 <= len(log) <= 8
-    assert len(ended) == len(log) - 1
+    for fail_in in ("parent", "child"):
+        log = tmp_path / fail_in
+        jobs = [(_logging_span(log, fail_in=fail_in), None, 32)] * 4
+        with pytest.raises(RuntimeError, match=f"span at \\d+ failed in the {fail_in}$"):
+            _fill_replications(jobs, 2)
+        events = _log(log)
+        fails = [k for k, (_, _, event) in enumerate(events) if event == "fail"]
+        assert len(fails) == 1
+        assert sum(event == "start" for _, _, event in events[fails[0]:]) <= 1
+        starts = [(pid, lo) for pid, lo, event in events if event == "start"]
+        ends = [(pid, lo) for pid, lo, event in events if event != "start"]
+        assert sorted(starts) == sorted(ends) and len(starts) >= 2
+        if fail_in == "parent":
+            assert len(starts) <= 8
+        assert _no_child_left()
 
 
-def test_every_span_runs_once_under_fast_thread_switching(monkeypatch):
-    # More workers than this machine has cores, switching threads every
-    # microsecond: a span taken twice or never would show in a log or a value.
+def test_every_span_runs_once_on_more_workers_than_cores(monkeypatch, tmp_path):
+    # Eight workers whatever this machine has, so seven children contend for
+    # 155 spans: a span taken twice or never would show in the log or a value.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    logs = [[] for _ in range(5)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        out = _fill_replications([(_recording_span(log, pause=0), None, 400) for log in logs], 8)
-    finally:
-        sys.setswitchinterval(interval)
-    for log, (vals, _) in zip(logs, out):
-        assert sorted(lo for _, _, lo in log) == list(range(0, 400, 13))
+    logs = [tmp_path / f"spans{k}" for k in range(5)]
+    out = _fill_replications([(_logging_span(log, pause=0), None, 400) for log in logs], 8)
+    for log, (vals, pids) in zip(logs, out):
+        assert sorted(lo for _, lo, event in _log(log) if event == "start") == list(
+            range(0, 400, 13))
         assert np.array_equal(vals, np.arange(400.0))
+    assert len({float(pid) for _, pids in out for pid in pids}) <= 8 and _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_more_spans_than_a_pipe_holds(monkeypatch, workers):
+    # 20,000 jobs of two replications: 20,000 or 40,000 span tokens, more
+    # than a 64 KiB pipe holds at once.  The caller runs spans while the
+    # pipe is full, and every value still lands at its replication.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def span(row, lo, hi):
+        return np.arange(lo, hi) + row, np.full(hi - lo, float(os.getpid()))
+
+    out = _fill_replications([(span, 10.0 * j, 2) for j in range(20000)], workers)
+    assert all(np.array_equal(vals, [10.0 * j, 10.0 * j + 1]) for j, (vals, _) in enumerate(out))
+    ran = {pid for _, pids in out for pid in pids}
+    assert len(ran) == workers and float(os.getpid()) in ran and _no_child_left()
+
+
+class _LocalError(Exception):
+    """An error that cannot be unpickled: its constructor needs two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+@pytest.mark.parametrize("kind", ["unpicklable", "killed"])
+def test_a_child_that_cannot_report_still_fails_the_call(monkeypatch, kind):
+    # A child's error that does not survive pickling comes back as a
+    # RuntimeError naming its type; a child killed by a signal fails the call
+    # instead of leaving its spans unfilled.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    me = os.getpid()
+
+    def span(row, lo, hi):
+        time.sleep(0.003)
+        if os.getpid() != me:
+            if kind == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise _LocalError("bad span", "a child")
+        return np.zeros(hi - lo), np.zeros(hi - lo)
+
+    want = "_LocalError: bad span in a child" if kind == "unpicklable" else "wait status"
+    with pytest.raises(RuntimeError, match=want):
+        _fill_replications([(span, None, 32)], 2)
+    assert _no_child_left()
+
+
+def test_closure_models_give_the_same_report_on_forked_workers(monkeypatch):
+    # Spans are inherited by the children, never pickled: a model built of
+    # closures over local state runs on two workers, with one worker's bytes.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    shift, scale = 0.25, 1.5
+
+    def outer(s):
+        return s.next_gaussian() * scale + shift
+
+    def inner(s, y):
+        return y + s.next_gaussian()
+
+    p = NestedProblem(outer_sampler=outer, inner_sampler=inner,
+                      phi=lambda y, z: np.exp(z - shift), f=lambda y, w: np.log(w) * scale,
+                      name="closures", truth=shift)
+    runs = {w: run_convergence(p, TauPower(1, 1), [16, 256, 1024], 12, make_root(3), workers=w)
+            for w in (1, 2)}
+    assert repr(runs[2]) == repr(runs[1]) and _no_child_left()
 
 
 # Rows of many, four and three replications per block (N*M = 2**6, 2**14 and
@@ -229,7 +334,7 @@ def test_convergence_worker_count_is_invisible():
 
 def test_convergence_worker_count_is_invisible_above_one_chunk():
     # M = 70000 > 2**16: each outer draw's inner draws span two chunks, and
-    # each of the two threads draws them into its own pooled buffers.
+    # each of the two processes draws them into its own pooled buffers.
     p = CATALOG["gauss-log"]()
     run = lambda workers: run_convergence(p, FixedOuter(2), [8, 140000], 6, make_root(12),
                                           workers=workers)
@@ -375,6 +480,19 @@ def test_fixed_inner_plateau_versus_coupled_policy():
     coupled = run_convergence(p, TauPower(1, 1), [5 * 10**4, 5 * 10**5], 150,
                               make_root(13), workers=WORKERS)
     assert coupled.rows[0].mse / coupled.rows[1].mse > 2.0
+
+
+@pytest.mark.parametrize("Ns,match", [([-3, 16], "outer counts N must be >= 1, got -3"),
+                                      ([0, 16], "outer counts N must be >= 1, got 0"),
+                                      ([], "empty outer-count grid")])
+def test_fixed_inner_faults_name_the_outer_count(monkeypatch, Ns, match):
+    # The outer counts are checked before any budget N*M is made or split.
+    p = CATALOG["gauss-log"]()
+    monkeypatch.setattr(harness, "split_budget", None)
+    with pytest.raises(ValueError, match=match):
+        run_fixed_inner(p, 4, Ns, 4, make_root(0))
+    with pytest.raises(ValueError, match="M must be >= 1, got 0"):
+        run_fixed_inner(p, 0, [4], 4, make_root(0))
 
 
 def test_fixed_inner_plateau_level():
