@@ -9,7 +9,8 @@ checks, then hands all its rows to ``_sweep``: one scheduler call per run
 (``_fill_replications``).  The calling process is its first worker, and
 more workers are children made by ``os.fork`` (none where fork is
 missing: the count clamps to 1).  Python >= 3.12 warns when a process
-with live threads forks.
+with live threads forks, and ``import numpy`` may already have started
+one: OpenBLAS starts a thread unless ``OPENBLAS_NUM_THREADS=1``.
 Every row is evaluated a block of replications at a time
 (``nmc_replications``, ``collapsed_replications``), whatever the model's
 samplers.
@@ -168,40 +169,22 @@ def _shared_empty(n: int) -> np.ndarray:
     return np.frombuffer(buf, np.float64, n)
 
 
-def _claims(r: int, stop: mmap.mmap):
-    """Span indices read as 4-byte tokens from pipe end `r`, until it ends or a span failed.
+def _claims(r: int, n: int, groups: int, stop: mmap.mmap):
+    """Spans claimed a token at a time from pipe end `r`, until it is empty or a span failed.
 
-    A pipe read of 4 bytes is atomic, so each token goes to one reader.
+    Token t stands for spans t*n//groups .. (t+1)*n//groups - 1.  A pipe
+    read of 4 bytes is atomic, so each token goes to one reader; the stop
+    byte is checked before the read, so every token read is run.
     """
-    while len(token := os.read(r, 4)) == 4 and not stop[0]:
-        yield int.from_bytes(token, "little")
-
-
-def _feed(n: int, w, r: int, stop: mmap.mmap):
-    """The calling process's span indices, while it writes 0..n-1 as tokens into the pipe (w, r).
-
-    Writes of at most PIPE_BUF bytes to the non-blocking end `w` are whole
-    or refused; whenever the pipe is full, this process runs the last
-    unwritten span itself.  With every token written it closes `w`, so the
-    readers see the pipe end, and reads like any child.
-    """
-    tokens = np.arange(n, dtype="<u4").tobytes()
-    lo, hi = 0, len(tokens)
-    while lo < hi and not stop[0]:
-        n = w.write(tokens[lo:min(hi, lo + select.PIPE_BUF)])
-        if n is None:  # full
-            hi -= 4
-            yield int.from_bytes(tokens[hi:hi + 4], "little")
-        else:
-            lo += n
-    w.close()
-    yield from _claims(r, stop)
+    while not stop[0] and len(token := os.read(r, 4)) == 4:
+        t = int.from_bytes(token, "little")
+        yield from range(t * n // groups, (t + 1) * n // groups)
 
 
 def _work(claims, run: Callable[[int], None], stop: mmap.mmap) -> Optional[tuple]:
     """Run the spans of `claims`; (span index, error) of a failed one, else None.
 
-    A failure sets `stop`, so no worker starts another span.
+    A failure sets `stop`, so no worker claims another token.
     """
     for i in claims:
         try:
@@ -239,28 +222,32 @@ def _child(claims, run: Callable[[int], None], stop: mmap.mmap, err_w: int) -> N
 def _forked_work(children: int, n: int, run: Callable[[int], None], stop: mmap.mmap) -> list:
     """The failures of spans 0..n-1 run by this process and `children` forked ones.
 
-    Every worker claims spans from one pipe of span indices (`_feed`,
-    `_claims`).  Whatever way this process leaves, no span starts after
-    it stops, and every child is reaped first.
+    Before any fork, min(n, PIPE_BUF // 4) tokens go into one pipe in one
+    write, whole as it is at most PIPE_BUF bytes into an empty pipe, and
+    its write end is closed: a read never blocks, and every worker sees
+    the pipe end once the tokens are gone.  With a PIPE_BUF of 4,096 bytes
+    a token is one span up to 1,024 spans.  This process and every child
+    claim through `_claims` alike.  Whatever way this process leaves, no
+    token is claimed after it stops, and every child is reaped first.
     """
+    # POSIX's least PIPE_BUF where select has none (Windows, which never forks)
+    groups = min(n, getattr(select, "PIPE_BUF", 512) // 4)
     r, w = os.pipe()
-    os.set_blocking(w, False)
-    w = open(w, "wb", buffering=0)
+    os.write(w, np.arange(groups, dtype="<u4").tobytes())
+    os.close(w)
     failures, reports = [], []
     try:
         for _ in range(children):
             err_r, err_w = os.pipe()
             pid = os.fork()
             if pid == 0:
-                w.close()
                 os.close(err_r)
-                _child(_claims(r, stop), run, stop, err_w)
+                _child(_claims(r, n, groups, stop), run, stop, err_w)
             os.close(err_w)
             reports.append((pid, err_r))
-        failures.append(_work(_feed(n, w, r, stop), run, stop))
+        failures.append(_work(_claims(r, n, groups, stop), run, stop))
     finally:
         stop[0] = 1
-        w.close()
         for pid, err_r in reports:
             with open(err_r, "rb") as pipe:
                 data = pipe.read()
@@ -280,17 +267,18 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers:
     span(row_stream, lo, hi) gives the (values, degenerate_fracs) of
     replications lo..hi-1, e.g. partial(nmc_replications, p, N, M), and
     replication r of a job uses the stream row_stream.split(r).  Every
-    job's replications are cut into spans, run in order by the calling
-    process when it is the only worker, else claimed in turn by it and
-    workers - 1 children made by os.fork (`_forked_work`).  The job table
-    is made before the fork and inherited, so spans are never pickled;
-    values land in mappings the children share (`_shared_empty`).  Spans
-    only affect scheduling; values land at [r] regardless, so output is
-    identical for any worker count.  Workers never outnumber the
-    machine's cores or the spans, and are 1 where os.fork is missing.
-    After a span fails no span starts; the started ones finish, every
-    child is reaped, then the error of the failed span of lowest index is
-    raised here, with its type and message.
+    job's replications are cut into spans, claimed in turn from one
+    pre-filled pipe by the calling process and workers - 1 children made
+    by os.fork (`_forked_work`); one worker claims them all, in order, and
+    forks nothing.  The job table is made before any fork and inherited,
+    so spans are never pickled; above one worker values land in mappings
+    the children share (`_shared_empty`).  Spans only affect scheduling;
+    values land at [r] regardless, so output is identical for any worker
+    count.  Workers never outnumber the machine's cores or the spans, and
+    are 1 where os.fork is missing.  After a span fails no token is
+    claimed, so up to 1,024 spans no span starts; the started ones finish,
+    every child is reaped, then the error of the failed span of lowest
+    index is raised here, with its type and message.
     """
     workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     tasks = []
@@ -307,10 +295,8 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers:
         vals, degf = out[j]
         vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
 
-    stop = mmap.mmap(-1, 1)  # byte 0 is set once a span fails
-    failures = (_forked_work(children, len(tasks), run, stop) if children > 0
-                else [_work(range(len(tasks)), run, stop)])
-    failures = [f for f in failures if f is not None]
+    stop = mmap.mmap(-1, 1)  # byte 0 is set once a span fails or the caller leaves
+    failures = [f for f in _forked_work(children, len(tasks), run, stop) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
     return out

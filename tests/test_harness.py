@@ -223,11 +223,36 @@ def test_every_span_runs_once_on_more_workers_than_cores(monkeypatch, tmp_path):
     assert len({float(pid) for _, pids in out for pid in pids}) <= 8 and _no_child_left()
 
 
+@pytest.mark.parametrize("workers", [2, 8])
+@pytest.mark.parametrize("R", [8, 64])
+def test_a_claimed_span_always_runs(monkeypatch, workers, R):
+    # Each child sleeps between reading a token and running its span, so
+    # the caller runs out of tokens and returns first: the child's span
+    # must still run, and no replication keeps the 0.0 of a fresh mapping.
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    me, read = os.getpid(), os.read
+
+    def slow_read(fd, n):
+        data = read(fd, n)
+        if os.getpid() != me:
+            time.sleep(0.02)
+        return data
+
+    def span(row, lo, hi):
+        time.sleep(0.002)
+        return np.ones(hi - lo), np.zeros(hi - lo)
+
+    monkeypatch.setattr(os, "read", slow_read)
+    (vals, _), = _fill_replications([(span, make_root(0), R)], workers)
+    assert np.array_equal(vals, np.ones(R)) and _no_child_left()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_more_spans_than_a_pipe_holds(monkeypatch, workers):
-    # 20,000 jobs of two replications: 20,000 or 40,000 span tokens, more
-    # than a 64 KiB pipe holds at once.  The caller runs spans while the
-    # pipe is full, and every value still lands at its replication.
+    # 20,000 jobs of two replications: 20,000 or 40,000 spans, more than
+    # the 1,024 4-byte tokens a PIPE_BUF write holds.  Each token then
+    # stands for a group of ~20 or ~39 consecutive spans, and every value
+    # still lands at its replication.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def span(row, lo, hi):
