@@ -23,7 +23,6 @@ values bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -115,18 +114,6 @@ def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     return values, degenerate / N
 
 
-@lru_cache(maxsize=8)
-def _pair_offsets(K: int) -> np.ndarray:
-    """Read-only key offsets that skip 2k draws, for pairs k = 0..K-1, kept for the last few K.
-
-    Every span of a row skips to the same K pairs, so a row builds them
-    once rather than once per span.
-    """
-    offsets = skip_offsets(np.arange(0, 2 * K, 2, dtype=np.uint64))
-    offsets.setflags(write=False)
-    return offsets
-
-
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
     """Nested-estimator terms f(y_n, inner mean of M draws) for _replicate.
 
@@ -137,7 +124,7 @@ def _nested_terms(p: NestedProblem, M: int) -> Callable:
     For odd M the second draw of the last pair goes unused.  Both calls'
     draws go to one array in m order, and one phi call per block.
     """
-    offsets = _pair_offsets((M + 1) // 2)
+    offsets = skip_offsets(np.arange(0, M, 2, dtype=np.uint64))  # pair k skips 2k draws
     outer_batch, inner_batch = p.batch_samplers()
 
     def inner_phi(yb, inner, lo, hi):

@@ -25,6 +25,7 @@ import pickle
 import select
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,10 +156,10 @@ def _require_truth(p: NestedProblem) -> float:
 
 
 def _shared_empty(n: int) -> np.ndarray:
-    """An uninitialised float64 array of n elements in a mapping forked children share.
+    """A zero-filled float64 array of n elements in one mapping that forked children share.
 
     A mapping that cannot be made raises the MemoryError that np.empty
-    raises for the same request, so the error reads as with one worker.
+    raises for the same request, so the error reads as numpy's.
     """
     try:
         buf = mmap.mmap(-1, max(n, 1) * 8)  # anonymous and MAP_SHARED
@@ -169,34 +170,29 @@ def _shared_empty(n: int) -> np.ndarray:
     return np.frombuffer(buf, np.float64, n)
 
 
-def _claims(r: int, n: int, groups: int, stop: mmap.mmap):
-    """Spans claimed a token at a time from pipe end `r`, until it is empty or a span failed.
+def _work(r: int, n: int, groups: int, run: Callable[[int], None],
+          stop: mmap.mmap) -> Optional[tuple]:
+    """Run spans claimed a token at a time from pipe end `r`; (span index, error) of a failed one.
 
     Token t stands for spans t*n//groups .. (t+1)*n//groups - 1.  A pipe
     read of 4 bytes is atomic, so each token goes to one reader; the stop
-    byte is checked before the read, so every token read is run.
+    byte is checked before the read, so every token read is run.  The loop
+    ends with None at the pipe end or once `stop` is set; a failure sets
+    it, so no worker claims another token.
     """
     while not stop[0] and len(token := os.read(r, 4)) == 4:
         t = int.from_bytes(token, "little")
-        yield from range(t * n // groups, (t + 1) * n // groups)
-
-
-def _work(claims, run: Callable[[int], None], stop: mmap.mmap) -> Optional[tuple]:
-    """Run the spans of `claims`; (span index, error) of a failed one, else None.
-
-    A failure sets `stop`, so no worker claims another token.
-    """
-    for i in claims:
-        try:
-            run(i)
-        except BaseException as err:
-            stop[0] = 1
-            return i, err
+        for i in range(t * n // groups, (t + 1) * n // groups):
+            try:
+                run(i)
+            except BaseException as err:
+                stop[0] = 1
+                return i, err
     return None
 
 
-def _child(claims, run: Callable[[int], None], stop: mmap.mmap, err_w: int) -> None:
-    """A forked worker: run spans, write a failure pickled to pipe end `err_w`, and _exit.
+def _child(work: Callable[[], Optional[tuple]], err_w: int) -> None:
+    """A forked worker: run `work`, write its failure pickled to pipe end `err_w`, and _exit.
 
     An error that does not survive pickling is sent as a RuntimeError
     naming its type.  The child never returns into the caller's frames
@@ -204,7 +200,7 @@ def _child(claims, run: Callable[[int], None], stop: mmap.mmap, err_w: int) -> N
     """
     code = 1
     try:
-        failure = _work(claims, run, stop)
+        failure = work()
         if failure is not None:
             i, err = failure
             try:
@@ -219,7 +215,7 @@ def _child(claims, run: Callable[[int], None], stop: mmap.mmap, err_w: int) -> N
         os._exit(code)
 
 
-def _forked_work(children: int, n: int, run: Callable[[int], None], stop: mmap.mmap) -> list:
+def _forked_work(children: int, n: int, run: Callable[[int], None]) -> list:
     """The failures of spans 0..n-1 run by this process and `children` forked ones.
 
     Before any fork, min(n, PIPE_BUF // 4) tokens go into one pipe in one
@@ -227,14 +223,17 @@ def _forked_work(children: int, n: int, run: Callable[[int], None], stop: mmap.m
     its write end is closed: a read never blocks, and every worker sees
     the pipe end once the tokens are gone.  With a PIPE_BUF of 4,096 bytes
     a token is one span up to 1,024 spans.  This process and every child
-    claim through `_claims` alike.  Whatever way this process leaves, no
-    token is claimed after it stops, and every child is reaped first.
+    run the same `_work` loop, bound once here with the pipe and a shared
+    stop byte.  Whatever way this process leaves, no token is claimed
+    after it stops, and every child is reaped first.
     """
     # POSIX's least PIPE_BUF where select has none (Windows, which never forks)
     groups = min(n, getattr(select, "PIPE_BUF", 512) // 4)
     r, w = os.pipe()
     os.write(w, np.arange(groups, dtype="<u4").tobytes())
     os.close(w)
+    stop = mmap.mmap(-1, 1)  # byte 0 is set once a span fails or this process leaves
+    work = partial(_work, r, n, groups, run, stop)
     failures, reports = [], []
     try:
         for _ in range(children):
@@ -242,10 +241,10 @@ def _forked_work(children: int, n: int, run: Callable[[int], None], stop: mmap.m
             pid = os.fork()
             if pid == 0:
                 os.close(err_r)
-                _child(_claims(r, n, groups, stop), run, stop, err_w)
+                _child(work, err_w)
             os.close(err_w)
             reports.append((pid, err_r))
-        failures.append(_work(_claims(r, n, groups, stop), run, stop))
+        failures.append(work())
     finally:
         stop[0] = 1
         for pid, err_r in reports:
@@ -271,14 +270,17 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers:
     pre-filled pipe by the calling process and workers - 1 children made
     by os.fork (`_forked_work`); one worker claims them all, in order, and
     forks nothing.  The job table is made before any fork and inherited,
-    so spans are never pickled; above one worker values land in mappings
-    the children share (`_shared_empty`).  Spans only affect scheduling;
-    values land at [r] regardless, so output is identical for any worker
-    count.  Workers never outnumber the machine's cores or the spans, and
-    are 1 where os.fork is missing.  After a span fails no token is
-    claimed, so up to 1,024 spans no span starts; the started ones finish,
-    every child is reaped, then the error of the failed span of lowest
-    index is raised here, with its type and message.
+    so spans are never pickled.  At every worker count the run's values,
+    degenerate fractions and one done flag per span go into one mapping
+    the children share (`_shared_empty`), and each job's arrays are
+    slices of it.  Spans only affect scheduling; values land at [r]
+    regardless, so output is identical for any worker count.  Workers
+    never outnumber the machine's cores or the spans, and are 1 where
+    os.fork is missing.  After a span fails no token is claimed, so up to
+    1,024 spans no span starts; the started ones finish, every child is
+    reaped, then the error of the failed span of lowest index is raised
+    here, with its type and message.  A span that never ran without one
+    failing raises RuntimeError naming its row and replications.
     """
     workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     tasks = []
@@ -286,19 +288,26 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers:
         step = R if workers <= 1 else max(1, math.ceil(R / (workers * 4)))
         tasks += [(j, lo, min(lo + step, R)) for lo in range(0, R, step)]
     children = min(workers, len(tasks)) - 1
-    empty = _shared_empty if children > 0 else np.empty
-    out = [(empty(R), empty(R)) for _, _, R in jobs]
+    starts = list(accumulate((R for _, _, R in jobs), initial=0))
+    total = starts[-1]
+    store = _shared_empty(2 * total + len(tasks))
+    out = [(store[a:b], store[total + a:total + b]) for a, b in zip(starts, starts[1:])]
+    done = store[2 * total:]  # zero until a span's values are stored
 
     def run(i):
         j, lo, hi = tasks[i]
         span, row, _ = jobs[j]
         vals, degf = out[j]
         vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
+        done[i] = 1
 
-    stop = mmap.mmap(-1, 1)  # byte 0 is set once a span fails or the caller leaves
-    failures = [f for f in _forked_work(children, len(tasks), run, stop) if f is not None]
+    failures = [f for f in _forked_work(children, len(tasks), run) if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
+    unrun = np.flatnonzero(done == 0)
+    if unrun.size:
+        j, lo, hi = tasks[unrun[0]]
+        raise RuntimeError(f"replications {lo}..{hi - 1} of row {j} never ran")
     return out
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import mmap
 import os
 import signal
 import time
@@ -245,6 +246,47 @@ def test_a_claimed_span_always_runs(monkeypatch, workers, R):
     monkeypatch.setattr(os, "read", slow_read)
     (vals, _), = _fill_replications([(span, make_root(0), R)], workers)
     assert np.array_equal(vals, np.ones(R)) and _no_child_left()
+
+
+def test_a_dropped_token_fails_the_call(monkeypatch):
+    # The child reads a token and then sees the pipe end, so that token's
+    # span never runs and no span fails: the call must raise, not return
+    # the 0.0 of a fresh mapping for its replications.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    me, read = os.getpid(), os.read
+
+    def dropping_read(fd, n):
+        data = read(fd, n)
+        return data if os.getpid() == me else b""
+
+    def span(row, lo, hi):
+        time.sleep(0.002)
+        return np.ones(hi - lo), np.zeros(hi - lo)
+
+    monkeypatch.setattr(os, "read", dropping_read)
+    with pytest.raises(RuntimeError, match=r"^replications \d+\.\.\d+ of row 0 never ran$"):
+        _fill_replications([(span, make_root(0), 16)], 2)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_result_mapping_per_call(monkeypatch, workers):
+    # The values of every row share one mapping, so the count of mappings
+    # (results and the stop byte) does not grow with the rows.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    made, real = [], mmap.mmap
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return real(*args, **kwargs)
+
+    def span(row, lo, hi):
+        return np.arange(lo, hi) + row, np.zeros(hi - lo)
+
+    monkeypatch.setattr(mmap, "mmap", counted)
+    out = _fill_replications([(span, 10.0 * j, 2) for j in range(1000)], workers)
+    assert all(np.array_equal(vals, [10.0 * j, 10.0 * j + 1]) for j, (vals, _) in enumerate(out))
+    assert len(made) <= 2 and _no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
