@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import pickle
 import select
 from dataclasses import dataclass
 from functools import partial
@@ -170,61 +169,39 @@ def _shared_empty(n: int) -> np.ndarray:
     return np.frombuffer(buf, np.float64, n)
 
 
-def _work(r: int, n: int, groups: int, run: Callable[[int], None],
-          stop: mmap.mmap) -> Optional[tuple]:
-    """Run spans claimed a token at a time from pipe end `r`; (span index, error) of a failed one.
+def _work(r: int, n: int, groups: int, run: Callable[[int], None], stop: mmap.mmap) -> None:
+    """Run spans claimed a token at a time from pipe end `r`, until the pipe end or `stop`.
 
     Token t stands for spans t*n//groups .. (t+1)*n//groups - 1.  A pipe
     read of 4 bytes is atomic, so each token goes to one reader; the stop
-    byte is checked before the read, so every token read is run.  The loop
-    ends with None at the pipe end or once `stop` is set; a failure sets
-    it, so no worker claims another token.
+    byte is checked before the read, so every token read is run.  A failed
+    span sets `stop`, so no worker claims another token, and its error
+    propagates.
     """
-    while not stop[0] and len(token := os.read(r, 4)) == 4:
-        t = int.from_bytes(token, "little")
-        for i in range(t * n // groups, (t + 1) * n // groups):
-            try:
-                run(i)
-            except BaseException as err:
-                stop[0] = 1
-                return i, err
-    return None
-
-
-def _child(work: Callable[[], Optional[tuple]], err_w: int) -> None:
-    """A forked worker: run `work`, write its failure pickled to pipe end `err_w`, and _exit.
-
-    An error that does not survive pickling is sent as a RuntimeError
-    naming its type.  The child never returns into the caller's frames
-    and never flushes buffers it inherited.
-    """
-    code = 1
     try:
-        failure = work()
-        if failure is not None:
-            i, err = failure
-            try:
-                data = pickle.dumps(failure)
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps((i, RuntimeError(f"{type(err).__name__}: {err}")))
-            while data:
-                data = data[os.write(err_w, data):]
-        code = 0
-    finally:
-        os._exit(code)
+        while not stop[0] and len(token := os.read(r, 4)) == 4:
+            t = int.from_bytes(token, "little")
+            for i in range(t * n // groups, (t + 1) * n // groups):
+                run(i)
+    except BaseException:
+        stop[0] = 1
+        raise
 
 
-def _forked_work(children: int, n: int, run: Callable[[int], None]) -> list:
-    """The failures of spans 0..n-1 run by this process and `children` forked ones.
+def _forked_work(children: int, n: int, run: Callable[[int], None]) -> None:
+    """Run spans 0..n-1 on this process and up to `children` forked ones.
 
     Before any fork, min(n, PIPE_BUF // 4) tokens go into one pipe in one
     write, whole as it is at most PIPE_BUF bytes into an empty pipe, and
     its write end is closed: a read never blocks, and every worker sees
     the pipe end once the tokens are gone.  With a PIPE_BUF of 4,096 bytes
     a token is one span up to 1,024 spans.  This process and every child
-    run the same `_work` loop, bound once here with the pipe and a shared
-    stop byte.  Whatever way this process leaves, no token is claimed
+    run the same `_work` loop on the pipe and a shared stop byte.  A fork
+    that fails ends the forking, and the workers made so far claim every
+    token.  A child reports nothing: it leaves by os._exit, whatever its
+    spans did, so it never returns into the caller's frames or flushes
+    buffers it inherited.  A failure in this process's own spans
+    propagates; whatever way this process leaves, no token is claimed
     after it stops, and every child is reaped first.
     """
     # POSIX's least PIPE_BUF where select has none (Windows, which never forks)
@@ -233,31 +210,25 @@ def _forked_work(children: int, n: int, run: Callable[[int], None]) -> list:
     os.write(w, np.arange(groups, dtype="<u4").tobytes())
     os.close(w)
     stop = mmap.mmap(-1, 1)  # byte 0 is set once a span fails or this process leaves
-    work = partial(_work, r, n, groups, run, stop)
-    failures, reports = [], []
+    pids = []
     try:
         for _ in range(children):
-            err_r, err_w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                break
             if pid == 0:
-                os.close(err_r)
-                _child(work, err_w)
-            os.close(err_w)
-            reports.append((pid, err_r))
-        failures.append(work())
+                try:
+                    _work(r, n, groups, run, stop)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        _work(r, n, groups, run, stop)
     finally:
         stop[0] = 1
-        for pid, err_r in reports:
-            with open(err_r, "rb") as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            if data:
-                failures.append(pickle.loads(data))
-            elif status:
-                failures.append((-1, RuntimeError(f"a worker process ended with wait "
-                                                  f"status {status}")))
+        for pid in pids:
+            os.waitpid(pid, 0)
         os.close(r)
-    return failures
 
 
 def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers: int) -> list:
@@ -277,10 +248,13 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers:
     regardless, so output is identical for any worker count.  Workers
     never outnumber the machine's cores or the spans, and are 1 where
     os.fork is missing.  After a span fails no token is claimed, so up to
-    1,024 spans no span starts; the started ones finish, every child is
-    reaped, then the error of the failed span of lowest index is raised
-    here, with its type and message.  A span that never ran without one
-    failing raises RuntimeError naming its row and replications.
+    1,024 spans no span starts; the started ones finish and every child
+    is reaped.  A failure of this process's own span is then raised.
+    Otherwise this process runs, in index order, every span whose done
+    flag is unset: one that failed in a child, or that a child left
+    undone.  A span is a pure function of its stream, so it gives the
+    same values or raises the same error here, with its own type and
+    traceback.
     """
     workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
     tasks = []
@@ -301,13 +275,9 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers:
         vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
         done[i] = 1
 
-    failures = [f for f in _forked_work(children, len(tasks), run) if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    unrun = np.flatnonzero(done == 0)
-    if unrun.size:
-        j, lo, hi = tasks[unrun[0]]
-        raise RuntimeError(f"replications {lo}..{hi - 1} of row {j} never ran")
+    _forked_work(children, len(tasks), run)
+    for i in np.flatnonzero(done == 0):
+        run(i)
     return out
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -227,6 +228,19 @@ def test_each_run_makes_one_scheduler_call(capsys, monkeypatch, argv, workers):
     assert code == 0 and len(calls) == 1
     # collapse draws both of its sweeps in the one call.
     assert calls[0] == (4 if argv[0] == "collapse" else 2)
+
+
+def test_a_failed_fork_gives_the_one_worker_report(capsys, monkeypatch):
+    # os.fork failing with EAGAIN ends the forking: the calling process runs
+    # every span, so the run prints the --workers 1 bytes and exits 0.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    want = run_cli(capsys, _SEED_ARGS + ["--workers", "1"])
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run_cli(capsys, _SEED_ARGS + ["--workers", "2"]) == want and want[0] == 0
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):

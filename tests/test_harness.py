@@ -1,6 +1,7 @@
 """Harness runners: statistics, stream layout, fits, worker invariance."""
 
 import dataclasses
+import errno
 import math
 import mmap
 import os
@@ -124,14 +125,15 @@ def test_convergence_row_streams_are_positional():
 
 # ------------------------------------------------------------ _fill_replications
 
-def _logging_span(log, fail_in=None, pause=0.003):
+def _logging_span(log, fail_in=None, pause=0.003, fail_at=None):
     """A span that appends "pid lo start" and "pid lo end" lines to the file `log`.
 
     Single appends to one file are atomic, so the lines of every process
     land whole and in one order.  It returns the replication indices as
     values and the pid of the process that ran it as degenerate fractions.
     With `fail_in` it fails on its second call in the caller ("parent") or
-    in a child ("child").
+    its first in a child ("child"); with `fail_at` it fails at that lo
+    wherever it runs.
     """
     me, calls = os.getpid(), []
 
@@ -148,7 +150,7 @@ def _logging_span(log, fail_in=None, pause=0.003):
         append(f"{pid} {lo} start\n")
         time.sleep(pause)
         where = "parent" if pid == me else "child"
-        if fail_in == where and len(calls) == 2:
+        if (fail_in == where and len(calls) == (2 if pid == me else 1)) or lo == fail_at:
             append(f"{pid} {lo} fail\n")
             raise RuntimeError(f"span at {lo} failed in the {where}")
         append(f"{pid} {lo} end\n")
@@ -166,6 +168,33 @@ def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     return True
+
+
+@pytest.fixture(autouse=True)
+def _no_fd_leaked_and_no_child_left():
+    fds = len(os.listdir("/proc/self/fd"))
+    yield
+    assert len(os.listdir("/proc/self/fd")) == fds and _no_child_left()
+
+
+def _child_claims_first(monkeypatch):
+    """Patch os.read so that this process reads a token only once a child has read one.
+
+    The first child then holds token 0, the first span of the first job.
+    """
+    me, read, claimed = os.getpid(), os.read, mmap.mmap(-1, 1)
+
+    def ordered_read(fd, n):
+        if os.getpid() != me:
+            data = read(fd, n)
+            claimed[0] = 1
+            return data
+        deadline = time.monotonic() + 10
+        while not claimed[0] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return read(fd, n)
+
+    monkeypatch.setattr(os, "read", ordered_read)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -188,27 +217,57 @@ def test_calling_process_is_worker_zero(monkeypatch, tmp_path, workers):
 
 def test_failed_span_stops_the_schedule(monkeypatch, tmp_path):
     # 32 spans of 4 replications on two workers; the second span that the
-    # caller (then its child) runs fails.  No span starts after it, but one
-    # the other process claimed as it failed; the started ones finish, and
-    # the error is raised here with its type and message.  How many spans
-    # the caller starts before its child's second depends on the fork's
-    # speed, so only the caller's failure bounds the count.
+    # caller runs fails.  No span starts after it but one the child claimed
+    # as it failed; the started ones finish, every child is reaped, and the
+    # error is raised here with its type and message.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    for fail_in in ("parent", "child"):
-        log = tmp_path / fail_in
-        jobs = [(_logging_span(log, fail_in=fail_in), None, 32)] * 4
-        with pytest.raises(RuntimeError, match=f"span at \\d+ failed in the {fail_in}$"):
-            _fill_replications(jobs, 2)
-        events = _log(log)
-        fails = [k for k, (_, _, event) in enumerate(events) if event == "fail"]
-        assert len(fails) == 1
-        assert sum(event == "start" for _, _, event in events[fails[0]:]) <= 1
-        starts = [(pid, lo) for pid, lo, event in events if event == "start"]
-        ends = [(pid, lo) for pid, lo, event in events if event != "start"]
-        assert sorted(starts) == sorted(ends) and len(starts) >= 2
-        if fail_in == "parent":
-            assert len(starts) <= 8
-        assert _no_child_left()
+    log = tmp_path / "spans"
+    jobs = [(_logging_span(log, fail_in="parent"), None, 32)] * 4
+    with pytest.raises(RuntimeError, match="span at \\d+ failed in the parent$"):
+        _fill_replications(jobs, 2)
+    events = _log(log)
+    fails = [k for k, (_, _, event) in enumerate(events) if event == "fail"]
+    assert len(fails) == 1
+    assert sum(event == "start" for _, _, event in events[fails[0]:]) <= 1
+    starts = [(pid, lo) for pid, lo, event in events if event == "start"]
+    ends = [(pid, lo) for pid, lo, event in events if event != "start"]
+    assert sorted(starts) == sorted(ends) and 2 <= len(starts) <= 8
+    assert _no_child_left()
+
+
+def test_a_span_failed_in_a_child_is_run_by_the_caller(monkeypatch, tmp_path):
+    # The child's first span, token 0, fails there and would not here: the
+    # caller runs it, with every span the child's failure left unclaimed,
+    # and the call returns the values of one worker.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _child_claims_first(monkeypatch)
+    log, me = tmp_path / "spans", os.getpid()
+    out = _fill_replications([(_logging_span(log, fail_in="child"), None, 32)] * 4, 2)
+    assert all(np.array_equal(vals, np.arange(32.0)) for vals, _ in out)
+    events = _log(log)
+    (k, (pid, lo, _)), = [(k, e) for k, e in enumerate(events) if e[2] == "fail"]
+    assert pid != me and lo == 0 and (me, 0, "end") in events[k:]
+    assert {pid for pid, _, event in events[k + 1:]} == {me}
+    starts = sorted(lo for _, lo, event in events if event == "start")
+    assert starts == sorted(list(range(0, 32, 4)) * 4 + [0]) and _no_child_left()
+
+
+def test_a_span_that_fails_everywhere_raises_its_own_error(monkeypatch, tmp_path):
+    # The first of 8 spans fails wherever it runs, and a child claims it
+    # first.  The caller runs it once the child is reaped and raises its
+    # error from this process, before any span left unclaimed: at most two
+    # spans start after the child's failure, one claimed as it failed and
+    # the re-run.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _child_claims_first(monkeypatch)
+    log, me = tmp_path / "spans", os.getpid()
+    with pytest.raises(RuntimeError, match="^span at 0 failed in the parent$"):
+        _fill_replications([(_logging_span(log, fail_at=0), None, 32)], 2)
+    events = _log(log)
+    fails = [(k, pid) for k, (pid, _, event) in enumerate(events) if event == "fail"]
+    assert len(fails) == 2 and fails[0][1] != me and fails[1][1] == me
+    assert sum(event == "start" for _, _, event in events[fails[0][0]:]) <= 2
+    assert _no_child_left()
 
 
 def test_every_span_runs_once_on_more_workers_than_cores(monkeypatch, tmp_path):
@@ -248,11 +307,12 @@ def test_a_claimed_span_always_runs(monkeypatch, workers, R):
     assert np.array_equal(vals, np.ones(R)) and _no_child_left()
 
 
-def test_a_dropped_token_fails_the_call(monkeypatch):
+def test_a_dropped_token_is_run_by_the_caller(monkeypatch):
     # The child reads a token and then sees the pipe end, so that token's
-    # span never runs and no span fails: the call must raise, not return
-    # the 0.0 of a fresh mapping for its replications.
+    # span is not run there and no span fails: the caller must run it, not
+    # return the 0.0 of a fresh mapping for its replications.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _child_claims_first(monkeypatch)
     me, read = os.getpid(), os.read
 
     def dropping_read(fd, n):
@@ -264,9 +324,8 @@ def test_a_dropped_token_fails_the_call(monkeypatch):
         return np.ones(hi - lo), np.zeros(hi - lo)
 
     monkeypatch.setattr(os, "read", dropping_read)
-    with pytest.raises(RuntimeError, match=r"^replications \d+\.\.\d+ of row 0 never ran$"):
-        _fill_replications([(span, make_root(0), 16)], 2)
-    assert _no_child_left()
+    (vals, _), = _fill_replications([(span, make_root(0), 16)], 2)
+    assert np.array_equal(vals, np.ones(16)) and _no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -314,25 +373,52 @@ class _LocalError(Exception):
 
 
 @pytest.mark.parametrize("kind", ["unpicklable", "killed"])
-def test_a_child_that_cannot_report_still_fails_the_call(monkeypatch, kind):
-    # A child's error that does not survive pickling comes back as a
-    # RuntimeError naming its type; a child killed by a signal fails the call
-    # instead of leaving its spans unfilled.
+def test_a_child_that_cannot_report_leaves_its_spans_to_the_caller(monkeypatch, kind):
+    # A child claims the first span.  An error that cannot be pickled, raised
+    # by that span wherever it runs, comes from the caller with its own type;
+    # a child killed by a signal leaves its spans to the caller, and the call
+    # returns the values of one worker.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _child_claims_first(monkeypatch)
     me = os.getpid()
 
     def span(row, lo, hi):
         time.sleep(0.003)
-        if os.getpid() != me:
-            if kind == "killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise _LocalError("bad span", "a child")
-        return np.zeros(hi - lo), np.zeros(hi - lo)
+        if kind == "killed" and os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if kind == "unpicklable" and lo == 0:
+            raise _LocalError("bad span", os.getpid())
+        return np.arange(lo, hi, dtype=float), np.full(hi - lo, float(os.getpid()))
 
-    want = "_LocalError: bad span in a child" if kind == "unpicklable" else "wait status"
-    with pytest.raises(RuntimeError, match=want):
-        _fill_replications([(span, None, 32)], 2)
+    if kind == "unpicklable":
+        with pytest.raises(_LocalError, match=f"^bad span in {me}$"):
+            _fill_replications([(span, None, 32)], 2)
+    else:
+        (vals, pids), = _fill_replications([(span, None, 32)], 2)
+        assert np.array_equal(vals, np.arange(32.0)) and set(pids) == {float(me)}
     assert _no_child_left()
+
+
+def test_a_fork_that_fails_leaves_every_span_to_the_workers_made(monkeypatch):
+    # os.fork fails with EAGAIN: the call returns the values of one worker,
+    # leaks no pipe end and leaves no child, call after call.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def span(row, lo, hi):
+        return np.arange(lo, hi) + row, np.zeros(hi - lo)
+
+    jobs = [(span, 10.0 * j, 8) for j in range(4)]
+    want = [vals.copy() for vals, _ in _fill_replications(jobs, 1)]
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(10):
+        out = _fill_replications(jobs, 2)
+        assert all(np.array_equal(vals, w) for (vals, _), w in zip(out, want))
+    assert len(os.listdir("/proc/self/fd")) == fds and _no_child_left()
 
 
 def test_closure_models_give_the_same_report_on_forked_workers(monkeypatch):
