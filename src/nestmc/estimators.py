@@ -12,9 +12,12 @@ for one replication or a span of a row's.  One block budget, ``_CHUNK``
 (2^16 elements, one pooled buffer), sizes every block, of a small row's
 replications or a large row's outer draws.  Blocks depend on (N, M)
 alone, and every mean runs over a contiguous last axis, so block grouping
-never changes a value.  Every array of a block comes from ``rng.take``, a
-pool of block-sized buffers per thread, so the blocks of a span, and the
-spans after it, reuse the same buffers.  Samplers come from
+never changes a value.  One rule, ``_block_reps``, gives a block's
+replications, and the harness cuts spans above one worker at its
+multiples, so every worker count draws the same blocks.  Every array of
+a block comes from ``rng.take``, a pool of block-sized buffers per
+thread, so the blocks of a span, and the spans after it, reuse the same
+buffers.  Samplers come from
 ``NestedProblem.batch_samplers``: a model without batch samplers has its
 scalar ones run stream by stream under the same blocks, with the same
 values bit for bit.
@@ -90,18 +93,23 @@ def _estimate(terms: Callable, s: RngStream, N: int, M: int) -> Estimate:
                     seed_path=s.path, degenerate_count=round(degenerate[0] * N))
 
 
+def _block_reps(N: int, M: int) -> int:
+    """Replications per block of an N x M row; a span's blocks start at its first."""
+    return max(1, _CHUNK // (N * M))
+
+
 def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     """(values, degenerate fractions) of the replications on the streams of `reps`.
 
     terms(block, idx) gives the terms of outer draws `idx` of each stream
-    of `block`.  Blocks hold max(1, _CHUNK // (N*M)) replications by
+    of `block`.  Blocks hold _block_reps(N, M) replications by
     min(N, max(1, _CHUNK // M)) outer draws, so a small row's block fills
     one pooled buffer, as a large row's does.  A block's terms of all N
     outer draws go to one array made before any draw, so a row too large to
     hold fails at once.
     """
     keys = reps.keys.reshape(-1)
-    step, outer = max(1, _CHUNK // (N * M)), max(1, _CHUNK // M)
+    step, outer = _block_reps(N, M), max(1, _CHUNK // M)
     values, degenerate = np.empty(keys.size), np.empty(keys.size)
     for a in range(0, keys.size, step):
         block = StreamBatch(keys[a:a + step])

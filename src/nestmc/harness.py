@@ -31,7 +31,8 @@ import numpy as np
 
 from .allocation import AllocationPolicy, FixedInner, TauPower, split_budget
 # nmc_estimate is unused here; it stays bound for bench/tracing.py, which wraps it.
-from .estimators import _check_collapse, collapsed_replications, nmc_estimate, nmc_replications
+from .estimators import (_block_reps, _check_collapse, collapsed_replications, nmc_estimate,
+                         nmc_replications)
 from .problem import NestedProblem
 from .rng import RngStream
 
@@ -155,13 +156,13 @@ def _require_truth(p: NestedProblem) -> float:
 
 
 def _shared_empty(n: int) -> np.ndarray:
-    """A zero-filled float64 array of n elements in one mapping that forked children share.
+    """A zero-filled float64 array of n >= 1 elements in one mapping that forked children share.
 
     A mapping that cannot be made raises the MemoryError that np.empty
     raises for the same request, so the error reads as numpy's.
     """
     try:
-        buf = mmap.mmap(-1, max(n, 1) * 8)  # anonymous and MAP_SHARED
+        buf = mmap.mmap(-1, n * 8)  # anonymous and MAP_SHARED
     except (OSError, OverflowError) as err:
         np.empty(n)  # raises numpy's MemoryError for a request this size
         raise MemoryError(f"cannot map {n} float64 values shared with worker processes: "
@@ -169,113 +170,99 @@ def _shared_empty(n: int) -> np.ndarray:
     return np.frombuffer(buf, np.float64, n)
 
 
-def _work(r: int, n: int, groups: int, run: Callable[[int], None], stop: mmap.mmap) -> None:
-    """Run spans claimed a token at a time from pipe end `r`, until the pipe end or `stop`.
+def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int, int]],
+                       workers: int) -> list:
+    """(values, degenerate_fracs) of R replications of each job (span, row_stream, R, block).
 
-    Token t stands for spans t*n//groups .. (t+1)*n//groups - 1.  A pipe
-    read of 4 bytes is atomic, so each token goes to one reader; the stop
-    byte is checked before the read, so every token read is run.  A failed
-    span sets `stop`, so no worker claims another token, and its error
-    propagates.
+    span(row_stream, lo, hi) gives the (values, degenerate_fracs) of
+    replications lo..hi-1, e.g. partial(nmc_replications, p, N, M), and
+    replication r of a job uses the stream row_stream.split(r).  block is
+    the job's kernel block, estimators._block_reps(N, M) replications.  At
+    one worker a job is one span; above it a span is the fewest whole
+    blocks that hold ceil(R / 4K) replications, so every worker count draws
+    the same blocks and a job has at most 4K spans.  The span table is made
+    before any fork and inherited, so spans are never pickled.
+
+    Before any fork, G = min(spans, PIPE_BUF // 4) 4-byte tokens go into one
+    pipe in one write, whole as it is at most PIPE_BUF bytes into an empty
+    pipe, and its write end is closed: a read never blocks, and the pipe
+    ends once the tokens are gone.  Token t stands for spans t*n//G ..
+    (t+1)*n//G - 1, so up to 1,024 spans a token is one span.  The calling
+    process and workers - 1 children made by os.fork run one claim loop:
+    check the stop flag, read a token (a 4-byte read is atomic, so each
+    token goes to one reader), run its spans.  A fork that fails ends the
+    forking, and the workers made so far claim every token.  Workers never
+    outnumber the machine's cores or the spans, and are 1 where os.fork is
+    missing.
+
+    The run's values, degenerate fractions, one done flag per span and the
+    stop flag are one mapping the children share (`_shared_empty`), and
+    each job's arrays are slices of it.  Values land at [r] whatever the
+    span, so output is identical for any worker count.  A failed span sets
+    the stop flag and no token is claimed after it, so up to 1,024 spans no
+    span starts; the started ones finish.  A child reports nothing: it
+    leaves by os._exit, whatever its spans did, so it flushes no buffer it
+    inherited.  Every child is reaped, a
+    failure of this process's own span is raised, and otherwise this
+    process runs, in index order, every span whose done flag is unset: one
+    that failed in a child, or that a child left undone.  A span is a pure
+    function of its stream, so it gives the same values or raises the same
+    error here, with its own type and traceback.
     """
-    try:
-        while not stop[0] and len(token := os.read(r, 4)) == 4:
-            t = int.from_bytes(token, "little")
-            for i in range(t * n // groups, (t + 1) * n // groups):
-                run(i)
-    except BaseException:
-        stop[0] = 1
-        raise
+    workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    tasks = []
+    for j, (_, _, R, block) in enumerate(jobs):
+        step = R if workers <= 1 else math.ceil(R / (workers * 4 * block)) * block
+        tasks += [(j, lo, min(lo + step, R)) for lo in range(0, R, step)]
+    n = len(tasks)
+    starts = list(accumulate((job[2] for job in jobs), initial=0))
+    total = starts[-1]
+    store = _shared_empty(2 * total + n + 1)
+    out = [(store[a:b], store[total + a:total + b]) for a, b in zip(starts, starts[1:])]
+    done = store[2 * total:-1]  # zero until a span's values are stored
+    # store[-1] is the stop flag, set once a span fails or this process leaves
 
+    def run(i):
+        j, lo, hi = tasks[i]
+        span, row, _, _ = jobs[j]
+        vals, degf = out[j]
+        vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
+        done[i] = 1
 
-def _forked_work(children: int, n: int, run: Callable[[int], None]) -> None:
-    """Run spans 0..n-1 on this process and up to `children` forked ones.
+    def work():
+        try:
+            while not store[-1] and len(token := os.read(r, 4)) == 4:
+                t = int.from_bytes(token, "little")
+                for i in range(t * n // groups, (t + 1) * n // groups):
+                    run(i)
+        except BaseException:
+            store[-1] = 1
+            raise
 
-    Before any fork, min(n, PIPE_BUF // 4) tokens go into one pipe in one
-    write, whole as it is at most PIPE_BUF bytes into an empty pipe, and
-    its write end is closed: a read never blocks, and every worker sees
-    the pipe end once the tokens are gone.  With a PIPE_BUF of 4,096 bytes
-    a token is one span up to 1,024 spans.  This process and every child
-    run the same `_work` loop on the pipe and a shared stop byte.  A fork
-    that fails ends the forking, and the workers made so far claim every
-    token.  A child reports nothing: it leaves by os._exit, whatever its
-    spans did, so it never returns into the caller's frames or flushes
-    buffers it inherited.  A failure in this process's own spans
-    propagates; whatever way this process leaves, no token is claimed
-    after it stops, and every child is reaped first.
-    """
     # POSIX's least PIPE_BUF where select has none (Windows, which never forks)
     groups = min(n, getattr(select, "PIPE_BUF", 512) // 4)
     r, w = os.pipe()
     os.write(w, np.arange(groups, dtype="<u4").tobytes())
     os.close(w)
-    stop = mmap.mmap(-1, 1)  # byte 0 is set once a span fails or this process leaves
     pids = []
     try:
-        for _ in range(children):
+        for _ in range(min(workers, n) - 1):
             try:
                 pid = os.fork()
             except OSError:
                 break
             if pid == 0:
                 try:
-                    _work(r, n, groups, run, stop)
+                    work()
                 finally:
                     os._exit(0)
             pids.append(pid)
-        _work(r, n, groups, run, stop)
+        work()
     finally:
-        stop[0] = 1
+        store[-1] = 1
         for pid in pids:
             os.waitpid(pid, 0)
         os.close(r)
-
-
-def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int]], workers: int) -> list:
-    """(values, degenerate_fracs) of R replications of each job (span, row_stream, R).
-
-    span(row_stream, lo, hi) gives the (values, degenerate_fracs) of
-    replications lo..hi-1, e.g. partial(nmc_replications, p, N, M), and
-    replication r of a job uses the stream row_stream.split(r).  Every
-    job's replications are cut into spans, claimed in turn from one
-    pre-filled pipe by the calling process and workers - 1 children made
-    by os.fork (`_forked_work`); one worker claims them all, in order, and
-    forks nothing.  The job table is made before any fork and inherited,
-    so spans are never pickled.  At every worker count the run's values,
-    degenerate fractions and one done flag per span go into one mapping
-    the children share (`_shared_empty`), and each job's arrays are
-    slices of it.  Spans only affect scheduling; values land at [r]
-    regardless, so output is identical for any worker count.  Workers
-    never outnumber the machine's cores or the spans, and are 1 where
-    os.fork is missing.  After a span fails no token is claimed, so up to
-    1,024 spans no span starts; the started ones finish and every child
-    is reaped.  A failure of this process's own span is then raised.
-    Otherwise this process runs, in index order, every span whose done
-    flag is unset: one that failed in a child, or that a child left
-    undone.  A span is a pure function of its stream, so it gives the
-    same values or raises the same error here, with its own type and
-    traceback.
-    """
-    workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
-    tasks = []
-    for j, (_, _, R) in enumerate(jobs):
-        step = R if workers <= 1 else max(1, math.ceil(R / (workers * 4)))
-        tasks += [(j, lo, min(lo + step, R)) for lo in range(0, R, step)]
-    children = min(workers, len(tasks)) - 1
-    starts = list(accumulate((R for _, _, R in jobs), initial=0))
-    total = starts[-1]
-    store = _shared_empty(2 * total + len(tasks))
-    out = [(store[a:b], store[total + a:total + b]) for a, b in zip(starts, starts[1:])]
-    done = store[2 * total:]  # zero until a span's values are stored
-
-    def run(i):
-        j, lo, hi = tasks[i]
-        span, row, _ = jobs[j]
-        vals, degf = out[j]
-        vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
-        done[i] = 1
-
-    _forked_work(children, len(tasks), run)
     for i in np.flatnonzero(done == 0):
         run(i)
     return out
@@ -308,28 +295,28 @@ def _grid(values: Sequence[int], what: str) -> list:
     return grid
 
 
-def _sweep(p: NestedProblem, rows: Sequence[Tuple[int, Callable, RngStream]], R: int,
+def _sweep(p: NestedProblem, rows: Sequence[Tuple[int, int, int, Callable, RngStream]], R: int,
            rep_schedule: Optional[Mapping[int, int]], workers: int) -> list:
-    """(reps, *_row_statistics) of each row (T, span, row_stream), from one scheduler call.
+    """(reps, *_row_statistics) of each row (T, N, M, span, row_stream), from one scheduler call.
 
-    A row draws its replications with span on the children of row_stream:
-    rep_schedule[T] of them when the schedule names T, R otherwise.  The
-    truth, the replication counts and the schedule's keys are checked
-    before any draw; a key that is no row's T raises ValueError.
+    A row draws its replications of the N x M estimator with span on the
+    children of row_stream: rep_schedule[T] of them when the schedule
+    names T, R otherwise.  The truth, the replication counts and the schedule's keys
+    are checked before any draw; a key that is no row's T raises ValueError.
     """
     truth = _require_truth(p)
     if R < 2:
         raise ValueError(f"need R >= 2 replications, got {R}")
     schedule = rep_schedule or {}
-    Ts = sorted({T for T, _, _ in rows})
+    Ts = sorted({T for T, *_ in rows})
     for T, r in sorted(schedule.items()):
         if r < 2:
             raise ValueError(f"rep schedule for T={T} must be >= 2, got {r}")
         if T not in Ts:
             raise ValueError(f"rep schedule names T={T}, which is no row's budget "
                              f"(rows: T={', '.join(map(str, Ts))})")
-    reps = [int(schedule[T]) if T in schedule else R for T, _, _ in rows]
-    jobs = [(span, row, R_T) for (_, span, row), R_T in zip(rows, reps)]
+    reps = [int(schedule[T]) if T in schedule else R for T, *_ in rows]
+    jobs = [(span, row, R_T, _block_reps(N, M)) for (_, N, M, span, row), R_T in zip(rows, reps)]
     return [(R_T, *_row_statistics(vals, degf, truth))
             for R_T, (vals, degf) in zip(reps, _fill_replications(jobs, workers))]
 
@@ -362,9 +349,9 @@ def _convergence(p: NestedProblem, sweeps: Sequence[Tuple[Optional[AllocationPol
         else:
             splits = [(T, *split_budget(policy, T)) for T in Ts]
             plans.append([(T, N, M, partial(nmc_replications, p, N, M)) for T, N, M in splits])
-    stats = iter(_sweep(p, [(T, span, s.split(idx))
+    stats = iter(_sweep(p, [(*plan_row, s.split(idx))
                             for (_, s), plan in zip(sweeps, plans)
-                            for idx, (T, _, _, span) in enumerate(plan)],
+                            for idx, plan_row in enumerate(plan)],
                         R, rep_schedule, workers))
     reports = []  # zip takes each sweep's share of `stats` in turn
     for (policy, s), plan in zip(sweeps, plans):
@@ -419,7 +406,7 @@ def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, 
     Ms = _grid(Ms, "inner-count")
     if Ms[0] < 1:
         raise ValueError(f"inner counts must be >= 1, got {Ms[0]}")
-    stats = _sweep(p, [(N * M, partial(nmc_replications, p, N, M), s.split(idx))
+    stats = _sweep(p, [(N * M, N, M, partial(nmc_replications, p, N, M), s.split(idx))
                        for idx, M in enumerate(Ms)], R, None, workers)
     truth = float(p.truth)
     rows = tuple(BiasRow(M=M, N=N, reps=R, mean_error=mean - truth, se=se,
@@ -462,7 +449,7 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
     if not policies:
         raise ValueError("need at least one policy to compare")
     splits = [split_budget(policy, T) for policy in policies]
-    stats = [st[3:5] for st in _sweep(p, [(T, partial(nmc_replications, p, N, M), s)
+    stats = [st[3:5] for st in _sweep(p, [(T, N, M, partial(nmc_replications, p, N, M), s)
                                           for N, M in splits], R, None, workers)]
     order = sorted(range(len(stats)), key=lambda j: (stats[j][0], j))
     results = tuple(PolicyResult(policy=policies[j], N=splits[j][0], M=splits[j][1],

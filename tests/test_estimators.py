@@ -391,7 +391,7 @@ def test_collapsed_replication_mean_hits_truth():
     s = make_root(88)
     R = 100
     # Replication r is collapsed_estimate(p, 10**6, s.split(r)), on two workers.
-    (vals, _), = _fill_replications([(partial(collapsed_replications, p, 10**6), s, R)], 2)
+    (vals, _), = _fill_replications([(partial(collapsed_replications, p, 10**6), s, R, 1)], 2)
     se = np.std(vals, ddof=1) / math.sqrt(R)
     assert abs(vals.mean() - p.truth) <= 3 * se
 

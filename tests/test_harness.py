@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from nestmc.allocation import FixedInner, FixedOuter, TauPower
-from nestmc import harness
+from nestmc import estimators, harness
+from nestmc.cli import main
 from nestmc.estimators import collapsed_replications, nmc_estimate, nmc_replications
 from nestmc.harness import (_fill_replications, compare_policies, fit_loglog_slope,
                             run_bias, run_collapse, run_convergence, run_fixed_inner)
@@ -125,35 +126,37 @@ def test_convergence_row_streams_are_positional():
 
 # ------------------------------------------------------------ _fill_replications
 
+def _append(log, line):
+    """Append `line` to the file `log` in one write, atomic across processes."""
+    fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, line.encode())
+    finally:
+        os.close(fd)
+
+
 def _logging_span(log, fail_in=None, pause=0.003, fail_at=None):
     """A span that appends "pid lo start" and "pid lo end" lines to the file `log`.
 
-    Single appends to one file are atomic, so the lines of every process
-    land whole and in one order.  It returns the replication indices as
-    values and the pid of the process that ran it as degenerate fractions.
+    The lines of every process land whole and in one order.  It returns
+    the replication indices as values and the pid of the process that ran
+    it as degenerate fractions.
     With `fail_in` it fails on its second call in the caller ("parent") or
     its first in a child ("child"); with `fail_at` it fails at that lo
     wherever it runs.
     """
     me, calls = os.getpid(), []
 
-    def append(line):
-        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-        try:
-            os.write(fd, line.encode())
-        finally:
-            os.close(fd)
-
     def span(row, lo, hi):
         pid = os.getpid()
         calls.append(lo)  # this process's copy of the list
-        append(f"{pid} {lo} start\n")
+        _append(log, f"{pid} {lo} start\n")
         time.sleep(pause)
         where = "parent" if pid == me else "child"
         if (fail_in == where and len(calls) == (2 if pid == me else 1)) or lo == fail_at:
-            append(f"{pid} {lo} fail\n")
+            _append(log, f"{pid} {lo} fail\n")
             raise RuntimeError(f"span at {lo} failed in the {where}")
-        append(f"{pid} {lo} end\n")
+        _append(log, f"{pid} {lo} end\n")
         return np.arange(lo, hi, dtype=float), np.full(hi - lo, float(pid))
     return span
 
@@ -202,7 +205,7 @@ def test_calling_process_is_worker_zero(monkeypatch, tmp_path, workers):
     # Two workers on any machine: the clamp to the core count is not under test.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     log, me = tmp_path / "spans", os.getpid()
-    out = _fill_replications([(_logging_span(log), None, 8)] * 4, workers)
+    out = _fill_replications([(_logging_span(log), None, 8, 1)] * 4, workers)
     assert all(np.array_equal(vals, np.arange(8.0)) for vals, _ in out)
     ran = {float(pid) for _, pids in out for pid in pids}
     starts = sorted(lo for _, lo, event in _log(log) if event == "start")
@@ -222,7 +225,7 @@ def test_failed_span_stops_the_schedule(monkeypatch, tmp_path):
     # error is raised here with its type and message.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     log = tmp_path / "spans"
-    jobs = [(_logging_span(log, fail_in="parent"), None, 32)] * 4
+    jobs = [(_logging_span(log, fail_in="parent"), None, 32, 1)] * 4
     with pytest.raises(RuntimeError, match="span at \\d+ failed in the parent$"):
         _fill_replications(jobs, 2)
     events = _log(log)
@@ -242,7 +245,7 @@ def test_a_span_failed_in_a_child_is_run_by_the_caller(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     _child_claims_first(monkeypatch)
     log, me = tmp_path / "spans", os.getpid()
-    out = _fill_replications([(_logging_span(log, fail_in="child"), None, 32)] * 4, 2)
+    out = _fill_replications([(_logging_span(log, fail_in="child"), None, 32, 1)] * 4, 2)
     assert all(np.array_equal(vals, np.arange(32.0)) for vals, _ in out)
     events = _log(log)
     (k, (pid, lo, _)), = [(k, e) for k, e in enumerate(events) if e[2] == "fail"]
@@ -262,7 +265,7 @@ def test_a_span_that_fails_everywhere_raises_its_own_error(monkeypatch, tmp_path
     _child_claims_first(monkeypatch)
     log, me = tmp_path / "spans", os.getpid()
     with pytest.raises(RuntimeError, match="^span at 0 failed in the parent$"):
-        _fill_replications([(_logging_span(log, fail_at=0), None, 32)], 2)
+        _fill_replications([(_logging_span(log, fail_at=0), None, 32, 1)], 2)
     events = _log(log)
     fails = [(k, pid) for k, (pid, _, event) in enumerate(events) if event == "fail"]
     assert len(fails) == 2 and fails[0][1] != me and fails[1][1] == me
@@ -275,12 +278,40 @@ def test_every_span_runs_once_on_more_workers_than_cores(monkeypatch, tmp_path):
     # 155 spans: a span taken twice or never would show in the log or a value.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     logs = [tmp_path / f"spans{k}" for k in range(5)]
-    out = _fill_replications([(_logging_span(log, pause=0), None, 400) for log in logs], 8)
+    out = _fill_replications([(_logging_span(log, pause=0), None, 400, 1) for log in logs], 8)
     for log, (vals, pids) in zip(logs, out):
         assert sorted(lo for _, lo, event in _log(log) if event == "start") == list(
             range(0, 400, 13))
         assert np.array_equal(vals, np.arange(400.0))
     assert len({float(pid) for _, pids in out for pid in pids}) <= 8 and _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 8])
+def test_span_edges_are_block_edges_above_one_worker(monkeypatch, tmp_path, workers):
+    # Jobs of (R, block): the small-rows benchmark's blocks of 4096, 148 and
+    # 64 replications at R = 200, crn-race's 1 at R = 20, and blocks that
+    # divide neither R nor 4K.  A span is the fewest whole blocks that hold
+    # ceil(R / 4K) replications: each edge is a multiple of its job's block
+    # or is R, and a job has at most 4K spans.
+    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    shapes = [(200, 4096), (200, 148), (200, 64), (20, 1), (1000, 7), (5, 3)]
+    logs = [tmp_path / f"spans{k}" for k in range(len(shapes))]
+
+    def logged(log):
+        def span(row, lo, hi):
+            _append(log, f"{lo} {hi}\n")
+            return np.arange(lo, hi, dtype=float), np.zeros(hi - lo)
+        return span
+
+    out = _fill_replications([(logged(log), None, R, block)
+                              for log, (R, block) in zip(logs, shapes)], workers)
+    for log, (R, block), (vals, _) in zip(logs, shapes, out):
+        spans = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+        assert all(lo % block == 0 and (hi % block == 0 or hi == R) for lo, hi in spans)
+        step = block * math.ceil(math.ceil(R / (4 * workers)) / block)
+        assert spans == [(lo, min(lo + step, R)) for lo in range(0, R, step)]
+        assert len(spans) <= 4 * workers and np.array_equal(vals, np.arange(float(R)))
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 8])
@@ -303,7 +334,7 @@ def test_a_claimed_span_always_runs(monkeypatch, workers, R):
         return np.ones(hi - lo), np.zeros(hi - lo)
 
     monkeypatch.setattr(os, "read", slow_read)
-    (vals, _), = _fill_replications([(span, make_root(0), R)], workers)
+    (vals, _), = _fill_replications([(span, make_root(0), R, 1)], workers)
     assert np.array_equal(vals, np.ones(R)) and _no_child_left()
 
 
@@ -324,14 +355,14 @@ def test_a_dropped_token_is_run_by_the_caller(monkeypatch):
         return np.ones(hi - lo), np.zeros(hi - lo)
 
     monkeypatch.setattr(os, "read", dropping_read)
-    (vals, _), = _fill_replications([(span, make_root(0), 16)], 2)
+    (vals, _), = _fill_replications([(span, make_root(0), 16, 1)], 2)
     assert np.array_equal(vals, np.ones(16)) and _no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_result_mapping_per_call(monkeypatch, workers):
-    # The values of every row share one mapping, so the count of mappings
-    # (results and the stop byte) does not grow with the rows.
+    # The values of every row, the done flags and the stop flag share one
+    # mapping, so a call makes exactly one, however many rows it has.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     made, real = [], mmap.mmap
 
@@ -343,9 +374,9 @@ def test_one_result_mapping_per_call(monkeypatch, workers):
         return np.arange(lo, hi) + row, np.zeros(hi - lo)
 
     monkeypatch.setattr(mmap, "mmap", counted)
-    out = _fill_replications([(span, 10.0 * j, 2) for j in range(1000)], workers)
+    out = _fill_replications([(span, 10.0 * j, 2, 1) for j in range(1000)], workers)
     assert all(np.array_equal(vals, [10.0 * j, 10.0 * j + 1]) for j, (vals, _) in enumerate(out))
-    assert len(made) <= 2 and _no_child_left()
+    assert len(made) == 1 and _no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -359,7 +390,7 @@ def test_more_spans_than_a_pipe_holds(monkeypatch, workers):
     def span(row, lo, hi):
         return np.arange(lo, hi) + row, np.full(hi - lo, float(os.getpid()))
 
-    out = _fill_replications([(span, 10.0 * j, 2) for j in range(20000)], workers)
+    out = _fill_replications([(span, 10.0 * j, 2, 1) for j in range(20000)], workers)
     assert all(np.array_equal(vals, [10.0 * j, 10.0 * j + 1]) for j, (vals, _) in enumerate(out))
     ran = {pid for _, pids in out for pid in pids}
     assert len(ran) == workers and float(os.getpid()) in ran and _no_child_left()
@@ -392,9 +423,9 @@ def test_a_child_that_cannot_report_leaves_its_spans_to_the_caller(monkeypatch, 
 
     if kind == "unpicklable":
         with pytest.raises(_LocalError, match=f"^bad span in {me}$"):
-            _fill_replications([(span, None, 32)], 2)
+            _fill_replications([(span, None, 32, 1)], 2)
     else:
-        (vals, pids), = _fill_replications([(span, None, 32)], 2)
+        (vals, pids), = _fill_replications([(span, None, 32, 1)], 2)
         assert np.array_equal(vals, np.arange(32.0)) and set(pids) == {float(me)}
     assert _no_child_left()
 
@@ -407,7 +438,7 @@ def test_a_fork_that_fails_leaves_every_span_to_the_workers_made(monkeypatch):
     def span(row, lo, hi):
         return np.arange(lo, hi) + row, np.zeros(hi - lo)
 
-    jobs = [(span, 10.0 * j, 8) for j in range(4)]
+    jobs = [(span, 10.0 * j, 8, 1) for j in range(4)]
     want = [vals.copy() for vals, _ in _fill_replications(jobs, 1)]
 
     def no_fork():
@@ -419,6 +450,41 @@ def test_a_fork_that_fails_leaves_every_span_to_the_workers_made(monkeypatch):
         out = _fill_replications(jobs, 2)
         assert all(np.array_equal(vals, w) for (vals, _), w in zip(out, want))
     assert len(os.listdir("/proc/self/fd")) == fds and _no_child_left()
+
+
+_BLOCK_LINES = {
+    # The small-rows benchmark line: rows of N*M = 16..1024 at R = 200 take
+    # 1, 1, 1, 1, 2 and 4 kernel blocks.
+    "small-rows": (["converge", "--model", "gauss-log", "--budgets", "16:1024:6",
+                    "--reps", "200", "--seed", "1"], 10),
+    # 300 policies of one draw and two replications: one block each.
+    "one-draw-policies": (["allocate", "--model", "gauss-log", "--T", "1", "--reps", "2",
+                           "--seed", "1", "--policies", ";".join(["fixed-inner:M=1"] * 300)],
+                          300),
+}
+
+
+@pytest.mark.parametrize("line", sorted(_BLOCK_LINES))
+def test_every_worker_count_draws_the_same_kernel_blocks(capsys, monkeypatch, tmp_path, line):
+    # Every kernel block, in every process, logs its first stream key and its
+    # replication count.  Above one worker spans are cut at block edges, so
+    # two workers draw exactly the blocks of one and print its bytes.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv, count = _BLOCK_LINES[line]
+    block = estimators.StreamBatch
+
+    def logged(keys):
+        _append(log, f"{keys[0]} {keys.size}\n")
+        return block(keys)
+
+    monkeypatch.setattr(estimators, "StreamBatch", logged)
+    runs = []
+    for workers in ("1", "2"):
+        log = tmp_path / f"blocks{workers}"
+        code = main(argv + ["--workers", workers])
+        runs.append((code, capsys.readouterr(), sorted(log.read_text().splitlines())))
+    assert runs[0][0] == 0 and len(runs[0][2]) == count
+    assert runs[1] == runs[0]
 
 
 def test_closure_models_give_the_same_report_on_forked_workers(monkeypatch):
