@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import select
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -183,29 +182,26 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int, int]],
     the same blocks and a job has at most 4K spans.  The span table is made
     before any fork and inherited, so spans are never pickled.
 
-    Before any fork, G = min(spans, PIPE_BUF // 4) 4-byte tokens go into one
-    pipe in one write, whole as it is at most PIPE_BUF bytes into an empty
-    pipe, and its write end is closed: a read never blocks, and the pipe
-    ends once the tokens are gone.  Token t stands for spans t*n//G ..
-    (t+1)*n//G - 1, so up to 1,024 spans a token is one span.  The calling
-    process and workers - 1 children made by os.fork run one claim loop:
-    check the stop flag, read a token (a 4-byte read is atomic, so each
-    token goes to one reader), run its spans.  A fork that fails ends the
-    forking, and the workers made so far claim every token.  Workers never
-    outnumber the machine's cores or the spans, and are 1 where os.fork is
-    missing.
+    Worker w of the K = min(workers, spans) workers runs spans w, w + K,
+    w + 2K, ... in index order, checking the stop flag before each one; the
+    calling process is worker 0 and child k, made by os.fork, is worker k.
+    Which worker runs a span is a function of the span and K alone, and
+    nothing else passes between the processes but the one shared mapping.
+    Workers never outnumber the machine's cores or the spans, and are 1
+    where os.fork is missing.  A fork that fails ends the forking, leaving
+    the shares of the workers not made to the re-run below.
 
     The run's values, degenerate fractions, one done flag per span and the
     stop flag are one mapping the children share (`_shared_empty`), and
     each job's arrays are slices of it.  Values land at [r] whatever the
-    span, so output is identical for any worker count.  A failed span sets
-    the stop flag and no token is claimed after it, so up to 1,024 spans no
-    span starts; the started ones finish.  A child reports nothing: it
-    leaves by os._exit, whatever its spans did, so it flushes no buffer it
-    inherited.  Every child is reaped, a
-    failure of this process's own span is raised, and otherwise this
-    process runs, in index order, every span whose done flag is unset: one
-    that failed in a child, or that a child left undone.  A span is a pure
+    span, so output is identical for any worker count.  A failed span, or
+    the calling process leaving by any exception, sets the stop flag, so
+    no worker starts another span; the started ones finish.  A child
+    reports nothing: it leaves by os._exit, whatever its spans did, so it
+    flushes no buffer it inherited.  Every child is reaped, a failure of
+    this process's own span is raised, and otherwise this process runs, in
+    index order, every span whose done flag is unset: one that failed in a
+    child, or that a child left undone or never made.  A span is a pure
     function of its stream, so it gives the same values or raises the same
     error here, with its own type and traceback.
     """
@@ -215,12 +211,13 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int, int]],
         step = R if workers <= 1 else math.ceil(R / (workers * 4 * block)) * block
         tasks += [(j, lo, min(lo + step, R)) for lo in range(0, R, step)]
     n = len(tasks)
+    K = min(workers, n)
     starts = list(accumulate((job[2] for job in jobs), initial=0))
     total = starts[-1]
     store = _shared_empty(2 * total + n + 1)
     out = [(store[a:b], store[total + a:total + b]) for a, b in zip(starts, starts[1:])]
     done = store[2 * total:-1]  # zero until a span's values are stored
-    # store[-1] is the stop flag, set once a span fails or this process leaves
+    # store[-1] is the stop flag, set once a worker leaves by an error
 
     def run(i):
         j, lo, hi = tasks[i]
@@ -229,40 +226,35 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int, int]],
         vals[lo:hi], degf[lo:hi] = span(row, lo, hi)
         done[i] = 1
 
-    def work():
-        try:
-            while not store[-1] and len(token := os.read(r, 4)) == 4:
-                t = int.from_bytes(token, "little")
-                for i in range(t * n // groups, (t + 1) * n // groups):
-                    run(i)
-        except BaseException:
-            store[-1] = 1
-            raise
+    def work(w):
+        for i in range(w, n, K):
+            if store[-1]:
+                break
+            run(i)
 
-    # POSIX's least PIPE_BUF where select has none (Windows, which never forks)
-    groups = min(n, getattr(select, "PIPE_BUF", 512) // 4)
-    r, w = os.pipe()
-    os.write(w, np.arange(groups, dtype="<u4").tobytes())
-    os.close(w)
     pids = []
     try:
-        for _ in range(min(workers, n) - 1):
+        for w in range(1, K):
             try:
                 pid = os.fork()
             except OSError:
                 break
             if pid == 0:
                 try:
-                    work()
+                    work(w)
+                except BaseException:
+                    store[-1] = 1
+                    raise
                 finally:
                     os._exit(0)
             pids.append(pid)
-        work()
-    finally:
+        work(0)
+    except BaseException:
         store[-1] = 1
+        raise
+    finally:
         for pid in pids:
             os.waitpid(pid, 0)
-        os.close(r)
     for i in np.flatnonzero(done == 0):
         run(i)
     return out

@@ -121,7 +121,7 @@ def test_convergence_row_streams_are_positional():
     rep = run_convergence(p, TauPower(1, 1), [16, 64], 2, s)
     expected = np.mean([nmc_estimate(p, 8, 8, s.split(1).split(r)).value
                         for r in range(2)])
-    assert rep.rows[1].mean == pytest.approx(expected, rel=1e-15)
+    assert rep.rows[1].mean == expected
 
 
 # ------------------------------------------------------------ _fill_replications
@@ -180,26 +180,6 @@ def _no_fd_leaked_and_no_child_left():
     assert len(os.listdir("/proc/self/fd")) == fds and _no_child_left()
 
 
-def _child_claims_first(monkeypatch):
-    """Patch os.read so that this process reads a token only once a child has read one.
-
-    The first child then holds token 0, the first span of the first job.
-    """
-    me, read, claimed = os.getpid(), os.read, mmap.mmap(-1, 1)
-
-    def ordered_read(fd, n):
-        if os.getpid() != me:
-            data = read(fd, n)
-            claimed[0] = 1
-            return data
-        deadline = time.monotonic() + 10
-        while not claimed[0] and time.monotonic() < deadline:
-            time.sleep(0.001)
-        return read(fd, n)
-
-    monkeypatch.setattr(os, "read", ordered_read)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_calling_process_is_worker_zero(monkeypatch, tmp_path, workers):
     # Two workers on any machine: the clamp to the core count is not under test.
@@ -220,7 +200,7 @@ def test_calling_process_is_worker_zero(monkeypatch, tmp_path, workers):
 
 def test_failed_span_stops_the_schedule(monkeypatch, tmp_path):
     # 32 spans of 4 replications on two workers; the second span that the
-    # caller runs fails.  No span starts after it but one the child claimed
+    # caller runs fails.  No span starts after it but one the child began
     # as it failed; the started ones finish, every child is reaped, and the
     # error is raised here with its type and message.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -239,33 +219,32 @@ def test_failed_span_stops_the_schedule(monkeypatch, tmp_path):
 
 
 def test_a_span_failed_in_a_child_is_run_by_the_caller(monkeypatch, tmp_path):
-    # The child's first span, token 0, fails there and would not here: the
-    # caller runs it, with every span the child's failure left unclaimed,
-    # and the call returns the values of one worker.
+    # The child's first span, span 1 (replications 4..7 of the first job),
+    # fails there and would not here: the caller runs it, with every span
+    # the child's failure left undone, and the call returns the values of
+    # one worker.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _child_claims_first(monkeypatch)
     log, me = tmp_path / "spans", os.getpid()
     out = _fill_replications([(_logging_span(log, fail_in="child"), None, 32, 1)] * 4, 2)
     assert all(np.array_equal(vals, np.arange(32.0)) for vals, _ in out)
     events = _log(log)
     (k, (pid, lo, _)), = [(k, e) for k, e in enumerate(events) if e[2] == "fail"]
-    assert pid != me and lo == 0 and (me, 0, "end") in events[k:]
+    assert pid != me and lo == 4 and (me, 4, "end") in events[k:]
     assert {pid for pid, _, event in events[k + 1:]} == {me}
     starts = sorted(lo for _, lo, event in events if event == "start")
-    assert starts == sorted(list(range(0, 32, 4)) * 4 + [0]) and _no_child_left()
+    assert starts == sorted(list(range(0, 32, 4)) * 4 + [4]) and _no_child_left()
 
 
 def test_a_span_that_fails_everywhere_raises_its_own_error(monkeypatch, tmp_path):
-    # The first of 8 spans fails wherever it runs, and a child claims it
-    # first.  The caller runs it once the child is reaped and raises its
-    # error from this process, before any span left unclaimed: at most two
-    # spans start after the child's failure, one claimed as it failed and
-    # the re-run.
+    # Span 1 of 8 (replications 4..7) fails wherever it runs, and it is the
+    # child's first.  The caller runs it once the child is reaped and raises
+    # its error from this process, before any later span left undone: at
+    # most two spans start after the child's failure, one begun as it
+    # failed and the re-run.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _child_claims_first(monkeypatch)
     log, me = tmp_path / "spans", os.getpid()
-    with pytest.raises(RuntimeError, match="^span at 0 failed in the parent$"):
-        _fill_replications([(_logging_span(log, fail_at=0), None, 32, 1)], 2)
+    with pytest.raises(RuntimeError, match="^span at 4 failed in the parent$"):
+        _fill_replications([(_logging_span(log, fail_at=4), None, 32, 1)], 2)
     events = _log(log)
     fails = [(k, pid) for k, (pid, _, event) in enumerate(events) if event == "fail"]
     assert len(fails) == 2 and fails[0][1] != me and fails[1][1] == me
@@ -274,8 +253,9 @@ def test_a_span_that_fails_everywhere_raises_its_own_error(monkeypatch, tmp_path
 
 
 def test_every_span_runs_once_on_more_workers_than_cores(monkeypatch, tmp_path):
-    # Eight workers whatever this machine has, so seven children contend for
-    # 155 spans: a span taken twice or never would show in the log or a value.
+    # Eight workers whatever this machine has, so seven children share 155
+    # spans with the caller: a span run twice or never would show in the
+    # log or a value.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     logs = [tmp_path / f"spans{k}" for k in range(5)]
     out = _fill_replications([(_logging_span(log, pause=0), None, 400, 1) for log in logs], 8)
@@ -317,46 +297,21 @@ def test_span_edges_are_block_edges_above_one_worker(monkeypatch, tmp_path, work
 @pytest.mark.parametrize("workers", [2, 8])
 @pytest.mark.parametrize("R", [8, 64])
 def test_a_claimed_span_always_runs(monkeypatch, workers, R):
-    # Each child sleeps between reading a token and running its span, so
-    # the caller runs out of tokens and returns first: the child's span
-    # must still run, and no replication keeps the 0.0 of a fresh mapping.
+    # The children's spans are ten times as slow as the caller's, so the
+    # caller finishes its share first: each child must still run its whole
+    # share, and no replication keeps the 0.0 of a fresh mapping.
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
-    me, read = os.getpid(), os.read
-
-    def slow_read(fd, n):
-        data = read(fd, n)
-        if os.getpid() != me:
-            time.sleep(0.02)
-        return data
+    me = os.getpid()
 
     def span(row, lo, hi):
-        time.sleep(0.002)
-        return np.ones(hi - lo), np.zeros(hi - lo)
+        time.sleep(0.002 if os.getpid() == me else 0.02)
+        return np.ones(hi - lo), np.full(hi - lo, float(os.getpid()))
 
-    monkeypatch.setattr(os, "read", slow_read)
-    (vals, _), = _fill_replications([(span, make_root(0), R, 1)], workers)
-    assert np.array_equal(vals, np.ones(R)) and _no_child_left()
-
-
-def test_a_dropped_token_is_run_by_the_caller(monkeypatch):
-    # The child reads a token and then sees the pipe end, so that token's
-    # span is not run there and no span fails: the caller must run it, not
-    # return the 0.0 of a fresh mapping for its replications.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _child_claims_first(monkeypatch)
-    me, read = os.getpid(), os.read
-
-    def dropping_read(fd, n):
-        data = read(fd, n)
-        return data if os.getpid() == me else b""
-
-    def span(row, lo, hi):
-        time.sleep(0.002)
-        return np.ones(hi - lo), np.zeros(hi - lo)
-
-    monkeypatch.setattr(os, "read", dropping_read)
-    (vals, _), = _fill_replications([(span, make_root(0), 16, 1)], 2)
-    assert np.array_equal(vals, np.ones(16)) and _no_child_left()
+    (vals, pids), = _fill_replications([(span, make_root(0), R, 1)], workers)
+    step = math.ceil(R / (4 * workers))  # span i holds replications i*step .. (i+1)*step - 1
+    mine = np.arange(R) // step % workers == 0
+    assert np.array_equal(vals, np.ones(R)) and np.all((pids == me) == mine)
+    assert _no_child_left()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -380,11 +335,9 @@ def test_one_result_mapping_per_call(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_more_spans_than_a_pipe_holds(monkeypatch, workers):
-    # 20,000 jobs of two replications: 20,000 or 40,000 spans, more than
-    # the 1,024 4-byte tokens a PIPE_BUF write holds.  Each token then
-    # stands for a group of ~20 or ~39 consecutive spans, and every value
-    # still lands at its replication.
+def test_every_value_lands_in_place_over_many_spans(monkeypatch, workers):
+    # 20,000 jobs of two replications: 20,000 or 40,000 spans, and every
+    # value lands at its replication.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def span(row, lo, hi):
@@ -405,19 +358,18 @@ class _LocalError(Exception):
 
 @pytest.mark.parametrize("kind", ["unpicklable", "killed"])
 def test_a_child_that_cannot_report_leaves_its_spans_to_the_caller(monkeypatch, kind):
-    # A child claims the first span.  An error that cannot be pickled, raised
-    # by that span wherever it runs, comes from the caller with its own type;
-    # a child killed by a signal leaves its spans to the caller, and the call
-    # returns the values of one worker.
+    # Span 1 (replications 4..7) is the child's first.  An error that cannot
+    # be pickled, raised by that span wherever it runs, comes from the caller
+    # with its own type; a child killed by a signal leaves its spans to the
+    # caller, and the call returns the values of one worker.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _child_claims_first(monkeypatch)
     me = os.getpid()
 
     def span(row, lo, hi):
         time.sleep(0.003)
         if kind == "killed" and os.getpid() != me:
             os.kill(os.getpid(), signal.SIGKILL)
-        if kind == "unpicklable" and lo == 0:
+        if kind == "unpicklable" and lo == 4:
             raise _LocalError("bad span", os.getpid())
         return np.arange(lo, hi, dtype=float), np.full(hi - lo, float(os.getpid()))
 
@@ -431,8 +383,9 @@ def test_a_child_that_cannot_report_leaves_its_spans_to_the_caller(monkeypatch, 
 
 
 def test_a_fork_that_fails_leaves_every_span_to_the_workers_made(monkeypatch):
-    # os.fork fails with EAGAIN: the call returns the values of one worker,
-    # leaks no pipe end and leaves no child, call after call.
+    # os.fork fails with EAGAIN: the caller runs the missing child's share
+    # in its re-run, so the call returns the values of one worker, leaks no
+    # file descriptor and leaves no child, call after call.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def span(row, lo, hi):
@@ -450,6 +403,68 @@ def test_a_fork_that_fails_leaves_every_span_to_the_workers_made(monkeypatch):
         out = _fill_replications(jobs, 2)
         assert all(np.array_equal(vals, w) for (vals, _), w in zip(out, want))
     assert len(os.listdir("/proc/self/fd")) == fds and _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_no_pipe_is_made(monkeypatch, workers):
+    # The shared mapping is all the processes share: a call that cannot
+    # make a pipe still returns every value.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    def span(row, lo, hi):
+        return np.arange(lo, hi) + row, np.zeros(hi - lo)
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    out = _fill_replications([(span, 10.0 * j, 8, 1) for j in range(4)], workers)
+    assert all(np.array_equal(vals, np.arange(8) + 10.0 * j) for j, (vals, _) in enumerate(out))
+    assert _no_child_left()
+
+
+def test_worker_w_runs_spans_w_plus_multiples_of_k(monkeypatch, tmp_path):
+    # Two jobs of 8 spans each (steps of 2 and 3 replications) on two
+    # workers: the caller runs spans 0, 2, 4, ... of the whole table and
+    # the child spans 1, 3, 5, ..., each in index order.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    logs, me = [tmp_path / "spans0", tmp_path / "spans1"], os.getpid()
+    _fill_replications([(_logging_span(logs[0], pause=0), None, 16, 1),
+                        (_logging_span(logs[1], pause=0), None, 24, 1)], 2)
+    ran = {}
+    for base, (log, step) in enumerate(zip(logs, (2, 3))):
+        for pid, lo, event in _log(log):
+            if event == "start":
+                ran.setdefault(pid, []).append(8 * base + lo // step)
+    child, = set(ran) - {me}
+    assert ran[me] == list(range(0, 16, 2)) and ran[child] == list(range(1, 16, 2))
+    assert _no_child_left()
+
+
+def test_no_span_starts_after_a_failure(monkeypatch, tmp_path):
+    # 4,096 one-replication spans on two workers.  The caller's first span
+    # fails while the child is inside its share: the child finishes the
+    # span it has begun and starts no other, and the caller starts none.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    log, me = tmp_path / "spans", os.getpid()
+
+    def span(row, lo, hi):
+        pid = os.getpid()
+        _append(log, f"{pid} {row} start\n")
+        time.sleep(0.03 if pid == me else 0.02)
+        if pid == me:
+            _append(log, f"{pid} {row} fail\n")
+            raise RuntimeError(f"span {row} failed")
+        _append(log, f"{pid} {row} end\n")
+        return np.zeros(1), np.zeros(1)
+
+    with pytest.raises(RuntimeError, match="^span 0 failed$"):
+        _fill_replications([(span, j, 1, 1) for j in range(4096)], 2)
+    events = _log(log)
+    assert [e for e in events if e[0] == me] == [(me, 0, "start"), (me, 0, "fail")]
+    k = events.index((me, 0, "fail"))
+    assert sum(event == "start" for _, _, event in events[k:]) <= 1
+    assert all(i % 2 for pid, i, _ in events if pid != me) and _no_child_left()
 
 
 _BLOCK_LINES = {
