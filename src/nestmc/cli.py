@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto harness runners, each of which checks its
 whole configuration and then draws the run in one scheduler call: converge,
-bias, allocate, collapse, plus a models listing.  Same command line and
-seed always produce byte-identical output, regardless of --workers.
+bias, allocate, collapse, plus a models listing.  The same command line always
+produces byte-identical output, regardless of --workers.
 
 Exit codes: 0 success, 2 usage or config error, 3 statistical-degeneracy
 warning (more than 10% of convergence rows flagged).
@@ -24,20 +24,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import __version__
 from .allocation import budget_grid, parse_policy
-from .harness import (ConvergenceReport, SlopeFit, compare_policies, run_bias, run_collapse,
-                      run_convergence)
+from .harness import (BiasRow, ConvergenceReport, ConvergenceRow, PolicyResult, SlopeFit,
+                      compare_policies, run_bias, run_collapse, run_convergence)
 from .models import CATALOG, MODEL_TAGS
 from .problem import NestedProblem
 from .rng import make_root
 
 __all__ = ["main", "cmd_converge", "cmd_bias", "cmd_allocate", "cmd_collapse",
            "cmd_models"]
-
-_CONVERGE_COLS = ["T", "N", "M", "reps", "mean", "mse", "mse_se", "degenerate_frac"]
-_BIAS_COLS = ["M", "N", "reps", "mean_error", "se", "predicted"]
-_ALLOCATE_COLS = ["policy", "N", "M", "mse", "mse_se", "rank"]
-_COLLAPSE_COLS = ["estimator"] + _CONVERGE_COLS
-
 
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,8 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--reps", type=int, default=1000, help="replications per row")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="root seed (default: $NESTMC_SEED, else 0)")
+        sp.add_argument("--seed", type=int, default=0, help="root seed")
         sp.add_argument("--out", default=None, help="output path (default: stdout)")
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
         sp.add_argument("--workers", type=int, default=1,
@@ -102,18 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     # ("invalid choice: 'report.txt'") before naming the flag as unrecognized.
     m.add_argument("action", nargs="?", default="list", help="list (the default)")
     return ap
-
-
-def _resolve_seed(cfg: argparse.Namespace) -> int:
-    if cfg.seed is not None:
-        return cfg.seed
-    env = os.environ.get("NESTMC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"NESTMC_SEED must be an integer, got {env!r}") from None
-    return 0
 
 
 def _get_model(name: str) -> NestedProblem:
@@ -168,6 +149,17 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _columns(row_type: type) -> List[str]:
+    """A report's columns: the fields of its row record, in order."""
+    return [f.name for f in dataclasses.fields(row_type)]
+
+
+def _cells(record) -> list:
+    """`record`'s fields in order; a policy is written as its name."""
+    cells = (getattr(record, name) for name in _columns(type(record)))
+    return [v.name if dataclasses.is_dataclass(v) else v for v in cells]
+
+
 def _jnum(v):
     if v is None or (isinstance(v, float) and not math.isfinite(v)):
         return None
@@ -201,19 +193,19 @@ _Fit = Tuple[str, Optional[SlopeFit], str]
 
 
 def _write_report(cfg: argparse.Namespace, columns: Sequence[str], rows: Sequence[Sequence],
-                  meta: Tuple[str, Optional[str], int], fits: Sequence[_Fit] = (),
+                  meta: Tuple[str, Optional[str]], fits: Sequence[_Fit] = (),
                   tie: Optional[bool] = None) -> None:
     """Write one report in cfg.fmt to cfg.out or stdout.
 
-    `meta` is (model, policy, seed).  Each fit is (prefix, fit, note): JSON
-    gets `<prefix>fit` and `<prefix>fit_note` after the rows, CSV a
-    `# <prefix>slope=...` comment, and a run with --out echoes
+    `meta` is (model, policy); the seed is cfg.seed.  Each fit is (prefix,
+    fit, note): JSON gets `<prefix>fit` and `<prefix>fit_note` after the rows,
+    CSV a `# <prefix>slope=...` comment, and a run with --out echoes
     `<prefix>slope=...` to stdout.  `tie` follows the fits, as a JSON key or
     a `# tie=true` comment.
     """
     if cfg.fmt == "json":
-        model, policy, seed = meta
-        doc = {"metadata": {"model": model, "policy": policy, "seed": seed,
+        model, policy = meta
+        doc = {"metadata": {"model": model, "policy": policy, "seed": cfg.seed,
                             "version": __version__},
                "rows": [{k: _jnum(v) for k, v in zip(columns, row)} for row in rows]}
         for prefix, fit, note in fits:
@@ -247,60 +239,49 @@ def _exit_code(*reports: ConvergenceReport) -> int:
     return 3 if flagged > 0.10 * len(rows) else 0
 
 
-def _converge_rows(report: ConvergenceReport) -> List[list]:
-    return [[r.T, r.N, r.M, r.reps, r.mean, r.mse, r.mse_se, r.degenerate_frac]
-            for r in report.rows]
-
-
 def cmd_converge(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
     policy = parse_policy(cfg.policy)
-    seed = _resolve_seed(cfg)
     report = run_convergence(p, policy, _parse_grid("--budgets", cfg.budgets), cfg.reps,
-                             make_root(seed), rep_schedule=_parse_schedule(cfg.rep_schedule),
+                             make_root(cfg.seed), rep_schedule=_parse_schedule(cfg.rep_schedule),
                              drop_smallest=cfg.drop_smallest, workers=cfg.workers)
-    _write_report(cfg, _CONVERGE_COLS, _converge_rows(report),
-                  (report.model, policy.name, seed), [("", report.fit, report.fit_note)])
+    _write_report(cfg, _columns(ConvergenceRow), [_cells(r) for r in report.rows],
+                  (report.model, policy.name), [("", report.fit, report.fit_note)])
     return _exit_code(report)
 
 
 def cmd_bias(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
-    seed = _resolve_seed(cfg)
-    report = run_bias(p, cfg.N, _parse_grid("--Ms", cfg.Ms), cfg.reps, make_root(seed),
+    report = run_bias(p, cfg.N, _parse_grid("--Ms", cfg.Ms), cfg.reps, make_root(cfg.seed),
                       workers=cfg.workers)
-    rows = [[r.M, r.N, r.reps, r.mean_error, r.se, r.predicted] for r in report.rows]
-    _write_report(cfg, _BIAS_COLS, rows, (report.model, None, seed),
-                  [("", report.fit, report.fit_note)])
+    _write_report(cfg, _columns(BiasRow), [_cells(r) for r in report.rows],
+                  (report.model, None), [("", report.fit, report.fit_note)])
     return 0
 
 
 def cmd_allocate(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
-    seed = _resolve_seed(cfg)
     specs = [x for x in cfg.policies.split(";") if x.strip()]
     if not specs:
         raise ValueError("allocate needs at least one policy in --policies")
     policies = [parse_policy(x.strip()) for x in specs]
-    ranking = compare_policies(p, cfg.T, policies, cfg.reps, make_root(seed),
+    ranking = compare_policies(p, cfg.T, policies, cfg.reps, make_root(cfg.seed),
                                workers=cfg.workers)
-    rows = [[r.policy.name, r.N, r.M, r.mse, r.mse_se, r.rank] for r in ranking.results]
-    policy_meta = ";".join(pol.name for pol in policies)
-    _write_report(cfg, _ALLOCATE_COLS, rows, (ranking.model, policy_meta, seed),
-                  tie=ranking.tie)
+    _write_report(cfg, _columns(PolicyResult), [_cells(r) for r in ranking.results],
+                  (ranking.model, ";".join(pol.name for pol in policies)), tie=ranking.tie)
     return 0
 
 
 def cmd_collapse(cfg: argparse.Namespace) -> int:
     p = _get_model(cfg.model)
-    seed = _resolve_seed(cfg)
     collapsed, nested = run_collapse(p, _parse_grid("--budgets", cfg.budgets), cfg.reps,
-                                     make_root(seed),
+                                     make_root(cfg.seed),
                                      rep_schedule=_parse_schedule(cfg.rep_schedule),
                                      drop_smallest=cfg.drop_smallest, workers=cfg.workers)
-    rows = ([["collapsed"] + row for row in _converge_rows(collapsed)]
-            + [["nested"] + row for row in _converge_rows(nested)])
-    _write_report(cfg, _COLLAPSE_COLS, rows, (p.name, nested.policy.name, seed),
+    rows = [[name] + _cells(r) for name, report in (("collapsed", collapsed), ("nested", nested))
+            for r in report.rows]
+    _write_report(cfg, ["estimator"] + _columns(ConvergenceRow), rows,
+                  (p.name, nested.policy.name),
                   [("collapsed_", collapsed.fit, collapsed.fit_note),
                    ("nested_", nested.fit, nested.fit_note)])
     return _exit_code(collapsed, nested)

@@ -76,7 +76,10 @@ class ConvergenceRow:
     mse: float
     mse_se: float
     degenerate_frac: float
-    flagged: bool
+
+    @property
+    def flagged(self) -> bool:
+        return self.degenerate_frac >= DEGENERATE_ROW_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -348,8 +351,7 @@ def _convergence(p: NestedProblem, sweeps: Sequence[Tuple[Optional[AllocationPol
     reports = []  # zip takes each sweep's share of `stats` in turn
     for (policy, s), plan in zip(sweeps, plans):
         rows = tuple(ConvergenceRow(T=T, N=N, M=M, reps=reps, mean=mean, mse=mse, mse_se=mse_se,
-                                    degenerate_frac=dfrac,
-                                    flagged=dfrac >= DEGENERATE_ROW_THRESHOLD)
+                                    degenerate_frac=dfrac)
                      for (T, N, M, _), (reps, mean, _, mse, mse_se, dfrac) in zip(plan, stats))
         fit, note = _fit([(r.T, r.mse) for r in rows[drop_smallest:] if not r.flagged],
                          "degenerate: zero MSE")
