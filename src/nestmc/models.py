@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _constants as _C
 from .problem import GaussianInner, NestedProblem
+from .rng import take
 
 __all__ = [
     "make_gauss_log",
@@ -55,10 +56,10 @@ def _inner_normal_batch(b, y):
 
 
 def _phi_kernel(y, z):
-    # In place on the one temporary y - z, so a block costs one allocation.
-    # (d*d)*-2 and (-2*d)*d differ only below the smallest normal float,
-    # where exp gives 1.0 from either.
-    d = np.asarray(y - z, dtype=float)
+    # In place on y - z, drawn into a pooled buffer, so a block allocates
+    # nothing.  (d*d)*-2 and (-2*d)*d differ only below the smallest normal
+    # float, where exp gives 1.0 from either.
+    d = np.subtract(y, z, out=take(np.broadcast_shapes(np.shape(y), np.shape(z)), np.float64))
     d *= d
     d *= -2.0
     np.exp(d, out=d)

@@ -32,12 +32,17 @@ A :class:`StreamBatch` writes its child keys, raw bits, uniforms and normals
 into arrays from :func:`take`, which serves them from the drawing thread's
 own buffers, so a loop that draws block after block of the same size
 reuses the same memory instead of allocating (and, for large blocks,
-page-faulting) fresh arrays each time.
+page-faulting) fresh arrays each time.  Each buffer is a private anonymous
+mapping, so every pooled array starts on a page, and so on a 64-byte cache
+line: no vector load or store of a kernel pass straddles two lines, as
+they do in malloc's memory, 16 bytes past a line.  A forked worker
+writes its own copies of them, never its caller's.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import sys
 import threading
 from typing import Callable
@@ -245,7 +250,8 @@ def take(shape: tuple, dtype=np.uint64) -> np.ndarray:
     It views a buffer of the calling thread's pool that no live array still
     views (checked by reference count), so an array handed out stays its
     holder's for as long as it is referenced, and a buffer is recycled as
-    soon as the last view of it is dropped.  A request larger than
+    soon as the last view of it is dropped.  A pooled array starts on a
+    64-byte cache line (its buffer is page-aligned).  A request larger than
     `BUFFER_SIZE`, smaller than `_POOL_MIN` elements or beyond `_POOL_MAX`
     live buffers is a plain allocation.  A pool is only read by its own
     thread, so arrays from it may be handed to any thread.
@@ -257,7 +263,9 @@ def take(shape: tuple, dtype=np.uint64) -> np.ndarray:
             if sys.getrefcount(buf) <= _IDLE_REFS:
                 return buf[:n].view(dtype).reshape(shape)
         if len(pool) < _POOL_MAX:
-            buf = np.empty(BUFFER_SIZE, dtype=np.uint64)
+            # Page-aligned, and private: a forked worker writes a copy.
+            buf = np.frombuffer(mmap.mmap(-1, BUFFER_SIZE * 8, access=mmap.ACCESS_COPY),
+                                np.uint64)
             pool.append(buf)
             return buf[:n].view(dtype).reshape(shape)
     return np.empty(shape, dtype=dtype)

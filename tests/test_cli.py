@@ -521,6 +521,22 @@ def test_worker_count_never_changes_bytes(capsys, tmp_path, argv):
     assert p1.read_bytes() == p8.read_bytes()
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor-fault counts are compared on Linux only")
+def test_a_repeated_large_row_command_faults_next_to_no_pages(capsys):
+    # Every array of the kernel, phi's included, comes from the pooled
+    # buffers the first call faulted in.  A phi temporary from malloc is
+    # handed back and faulted in again block after block: ~225 faults.
+    resource = pytest.importorskip("resource")
+    argv = ["converge", "--model", "gauss-log", "--policy", "fixed-outer:N=16",
+            "--budgets", "65536:1048576:3", "--reps", "2", "--workers", "1", "--seed", "1"]
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------- cells
 
 def test_cell_rendering():

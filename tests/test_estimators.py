@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import resource
 import sys
 import threading
@@ -227,6 +228,33 @@ def test_small_row_reuses_its_draw_buffers(N, M, R):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     nmc_replications(p, N, M, row, 0, R)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_draws_into_copies_of_its_callers_buffers():
+    # The caller holds a normal and a batch whose sine half is pending, and
+    # leaves other buffers idle.  The child drops both and runs a large
+    # row, so its pool hands out those very buffers and writes them; the
+    # caller's must not change.
+    p = CATALOG["gauss-log"]()
+    batch = make_root(3).split_many(np.arange(1 << 13, dtype=np.uint64))
+    held = batch.gaussians()
+    kept = held.copy()
+    make_root(4).split_many(np.arange(1 << 13, dtype=np.uint64)).gaussians()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            del batch, held
+            nmc_replications(p, 16, 65536, make_root(5).split(0), 0, 2)
+            code = 0
+        finally:
+            os._exit(code)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    np.testing.assert_array_equal(held, kept)
+    fresh = make_root(3).split_many(np.arange(1 << 13, dtype=np.uint64))
+    fresh.gaussians()
+    np.testing.assert_array_equal(batch.gaussians(), fresh.gaussians())
 
 
 def test_threads_never_share_a_workspace():

@@ -397,6 +397,28 @@ def test_workspace_recycles_a_dropped_buffer():
     assert got["again"] == got["address"]
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.float64])
+@pytest.mark.parametrize("shape", [(1 << 12,), (1 << 13,), (1 << 16,), (2, 1 << 12), (16, 1 << 12)])
+def test_pooled_arrays_start_on_a_cache_line(shape, dtype):
+    # Every vector load and store of a kernel pass then stays within one
+    # 64-byte line; an array 16 bytes past a line splits them.
+    held = [take(shape, dtype) for _ in range(3)]
+    assert _pooled(*held)
+    assert [_address(a) % 64 for a in held] == [0, 0, 0]
+
+
+def test_batch_arrays_start_on_a_cache_line():
+    batch = make_root(2).split_many(np.arange(1 << 13, dtype=np.uint64))
+    arrays = [batch.keys, batch.uniforms(), batch.gaussians(), *batch._pending,
+              batch.gaussians()]
+    assert _pooled(*arrays)
+    assert [_address(a) % 64 for a in arrays] == [0] * 6
+
+
 def test_batch_drawn_on_another_thread_matches_its_solo_draws():
     # Batches made here and drawn on other threads take their arrays from
     # the drawing thread's pool; with frequent thread switches, and this
