@@ -106,8 +106,10 @@ def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     min(N, max(1, _CHUNK // M)) outer draws, so a small row's block fills
     one pooled buffer, as a large row's does.  A block's terms of all N
     outer draws go to one array made before any draw, so a row too large to
-    hold fails at once.
+    hold fails at once.  N and M below 1 raise ValueError.
     """
+    if N < 1 or M < 1:
+        raise ValueError(f"N and M must be >= 1, got {N}, {M}")
     keys = reps.keys.reshape(-1)
     step, outer = _block_reps(N, M), max(1, _CHUNK // M)
     values, degenerate = np.empty(keys.size), np.empty(keys.size)
@@ -173,8 +175,6 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     ``NestedProblem``).  Non-finite f outputs are excluded from the average
     and reported in ``degenerate_count``.
     """
-    if N < 1 or M < 1:
-        raise ValueError(f"N and M must be >= 1, got {N}, {M}")
     return _estimate(_nested_terms(p, M), s, N, M)
 
 
@@ -186,8 +186,6 @@ def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
     Entry r - lo equals nmc_estimate(p, N, M, row.split(r)).value and its
     degenerate_count / N bit for bit, whatever the span.
     """
-    if N < 1 or M < 1:
-        raise ValueError(f"N and M must be >= 1, got {N}, {M}")
     return _replicate(_nested_terms(p, M), N, M, row.split_many(np.arange(lo, hi)))
 
 
@@ -202,11 +200,9 @@ def _collapsed_terms(p: NestedProblem) -> Callable:
     return terms
 
 
-def _check_collapse(p: NestedProblem, N: int) -> None:
+def _check_collapse(p: NestedProblem) -> None:
     if p.linear_g is None:
         raise ValueError(f"model {p.name!r} has no linear_g; collapse requires linear f")
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
 
 
 def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
@@ -217,7 +213,7 @@ def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
     the plain MC rate.  One inner draw per outer draw, both taken in order
     from child stream n; total_draws = N.
     """
-    _check_collapse(p, N)
+    _check_collapse(p)
     return _estimate(_collapsed_terms(p), s, N, 1)
 
 
@@ -229,5 +225,5 @@ def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
     collapsed_estimate(p, N, row.split(r)), as nmc_replications does for
     the nested estimator.
     """
-    _check_collapse(p, N)
+    _check_collapse(p)
     return _replicate(_collapsed_terms(p), N, 1, row.split_many(np.arange(lo, hi)))

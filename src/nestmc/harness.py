@@ -5,10 +5,10 @@ independent replications per grid row on streams derived from
 ``s.split(row_index).split(rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
 bit-identical across runs and worker counts.  Every runner finishes its
-checks, then hands all its rows to ``_sweep``: one scheduler call per run
-(``_fill_replications``).  The calling process is its first worker, and
-more workers are children made by ``os.fork`` (none where fork is
-missing: the count clamps to 1).  Python >= 3.12 warns when a process
+own checks, then hands all its rows to ``_sweep``, which checks what every
+run needs and makes one scheduler call per run (``_fill_replications``).
+The calling process is its first worker, and more workers are children
+made by ``os.fork`` (none where fork is missing: the count clamps to 1).  Python >= 3.12 warns when a process
 with live threads forks, and ``import numpy`` may already have started
 one: OpenBLAS starts a thread unless ``OPENBLAS_NUM_THREADS=1``.
 Every row is evaluated a block of replications at a time
@@ -151,12 +151,6 @@ def fit_loglog_slope(points: Sequence[Tuple[float, float]]) -> SlopeFit:
     return SlopeFit(float(slope), float(intercept), rms, len(pts))
 
 
-def _require_truth(p: NestedProblem) -> float:
-    if p.truth is None:
-        raise ValueError(f"model {p.name!r} has no exact truth; error statistics need one")
-    return float(p.truth)
-
-
 def _shared_empty(n: int) -> np.ndarray:
     """A zero-filled float64 array of n >= 1 elements in one mapping that forked children share.
 
@@ -185,12 +179,14 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int, int]],
     the same blocks and a job has at most 4K spans.  The span table is made
     before any fork and inherited, so spans are never pickled.
 
-    Worker w of the K = min(workers, spans) workers runs spans w, w + K,
-    w + 2K, ... in index order, checking the stop flag before each one; the
-    calling process is worker 0 and child k, made by os.fork, is worker k.
+    workers >= 1 is the caller's rule (`_sweep` checks it).  Worker w of
+    the K = min(workers, spans) workers runs spans w, w + K, w + 2K, ... in
+    index order, checking the stop flag before each one; the calling
+    process is worker 0 and child k, made by os.fork, is worker k.
     Which worker runs a span is a function of the span and K alone, and
     nothing else passes between the processes but the one shared mapping.
-    Workers never outnumber the machine's cores or the spans, and are 1
+    Workers never outnumber the spans or the CPUs this process may run on
+    (its affinity set, or os.cpu_count() where that is unknown), and are 1
     where os.fork is missing.  A fork that fails ends the forking, leaving
     the shares of the workers not made to the re-run below.
 
@@ -208,7 +204,8 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int, int]],
     function of its stream, so it gives the same values or raises the same
     error here, with its own type and traceback.
     """
-    workers = min(workers, os.cpu_count() or 1) if hasattr(os, "fork") else 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1) if hasattr(os, "fork") else 1
     tasks = []
     for j, (_, _, R, block) in enumerate(jobs):
         step = R if workers <= 1 else math.ceil(R / (workers * 4 * block)) * block
@@ -290,30 +287,25 @@ def _grid(values: Sequence[int], what: str) -> list:
     return grid
 
 
-def _sweep(p: NestedProblem, rows: Sequence[Tuple[int, int, int, Callable, RngStream]], R: int,
-           rep_schedule: Optional[Mapping[int, int]], workers: int) -> list:
-    """(reps, *_row_statistics) of each row (T, N, M, span, row_stream), from one scheduler call.
+def _sweep(p: NestedProblem, rows: Sequence[Tuple[int, int, int, Callable, RngStream]],
+           workers: int) -> list:
+    """_row_statistics of each row (N, M, R, span, row_stream), from one scheduler call.
 
-    A row draws its replications of the N x M estimator with span on the
-    children of row_stream: rep_schedule[T] of them when the schedule
-    names T, R otherwise.  The truth, the replication counts and the schedule's keys
-    are checked before any draw; a key that is no row's T raises ValueError.
+    A row draws R replications of the N x M estimator with span on the
+    children of row_stream.  Every rule a run needs is checked here, for
+    every caller, before any draw: the model's truth, R >= 2 for each row,
+    and workers >= 1.
     """
-    truth = _require_truth(p)
-    if R < 2:
-        raise ValueError(f"need R >= 2 replications, got {R}")
-    schedule = rep_schedule or {}
-    Ts = sorted({T for T, *_ in rows})
-    for T, r in sorted(schedule.items()):
-        if r < 2:
-            raise ValueError(f"rep schedule for T={T} must be >= 2, got {r}")
-        if T not in Ts:
-            raise ValueError(f"rep schedule names T={T}, which is no row's budget "
-                             f"(rows: T={', '.join(map(str, Ts))})")
-    reps = [int(schedule[T]) if T in schedule else R for T, *_ in rows]
-    jobs = [(span, row, R_T, _block_reps(N, M)) for (_, N, M, span, row), R_T in zip(rows, reps)]
-    return [(R_T, *_row_statistics(vals, degf, truth))
-            for R_T, (vals, degf) in zip(reps, _fill_replications(jobs, workers))]
+    if p.truth is None:
+        raise ValueError(f"model {p.name!r} has no exact truth; error statistics need one")
+    for _, _, R, _, _ in rows:
+        if R < 2:
+            raise ValueError(f"need R >= 2 replications, got {R}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [(span, row, R, _block_reps(N, M)) for N, M, R, span, row in rows]
+    return [_row_statistics(vals, degf, float(p.truth))
+            for vals, degf in _fill_replications(jobs, workers)]
 
 
 def _fit(points: Sequence[Tuple[float, float]], zero_note: str) -> tuple:
@@ -331,28 +323,37 @@ def _convergence(p: NestedProblem, sweeps: Sequence[Tuple[Optional[AllocationPol
     """A ConvergenceReport of the budget grid for each (policy, s) of `sweeps`, from one _sweep.
 
     A policy splits each budget T into (N, M); None runs the collapsed
-    estimator at N = T, M = 1.  Row idx of a sweep draws on s.split(idx).
+    estimator at N = T, M = 1.  Row idx of a sweep draws on s.split(idx),
+    rep_schedule[T] replications when the schedule names T and R otherwise;
+    a schedule key that is no row's T raises ValueError.
     """
     if drop_smallest < 0:
         raise ValueError(f"drop_smallest must be >= 0, got {drop_smallest}")
     Ts = _grid(budgets, "budget")
+    schedule = rep_schedule or {}
+    for T in sorted(schedule):
+        if T not in Ts:
+            raise ValueError(f"rep schedule names T={T}, which is no row's budget "
+                             f"(rows: T={', '.join(map(str, Ts))})")
+    reps = [schedule.get(T, R) for T in Ts]
     plans = []
     for policy, _ in sweeps:
         if policy is None:
-            _check_collapse(p, Ts[0])
+            _check_collapse(p)
             plans.append([(T, T, 1, partial(collapsed_replications, p, T)) for T in Ts])
         else:
             splits = [(T, *split_budget(policy, T)) for T in Ts]
             plans.append([(T, N, M, partial(nmc_replications, p, N, M)) for T, N, M in splits])
-    stats = iter(_sweep(p, [(*plan_row, s.split(idx))
+    stats = iter(_sweep(p, [(N, M, R_T, span, s.split(idx))
                             for (_, s), plan in zip(sweeps, plans)
-                            for idx, plan_row in enumerate(plan)],
-                        R, rep_schedule, workers))
+                            for idx, ((_, N, M, span), R_T) in enumerate(zip(plan, reps))],
+                        workers))
     reports = []  # zip takes each sweep's share of `stats` in turn
     for (policy, s), plan in zip(sweeps, plans):
-        rows = tuple(ConvergenceRow(T=T, N=N, M=M, reps=reps, mean=mean, mse=mse, mse_se=mse_se,
+        rows = tuple(ConvergenceRow(T=T, N=N, M=M, reps=R_T, mean=mean, mse=mse, mse_se=mse_se,
                                     degenerate_frac=dfrac)
-                     for (T, N, M, _), (reps, mean, _, mse, mse_se, dfrac) in zip(plan, stats))
+                     for (T, N, M, _), R_T, (mean, _, mse, mse_se, dfrac)
+                     in zip(plan, reps, stats))
         fit, note = _fit([(r.T, r.mse) for r in rows[drop_smallest:] if not r.flagged],
                          "degenerate: zero MSE")
         reports.append(ConvergenceReport(model=p.name, policy=policy, rows=rows, fit=fit,
@@ -400,13 +401,13 @@ def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, 
     Ms = _grid(Ms, "inner-count")
     if Ms[0] < 1:
         raise ValueError(f"inner counts must be >= 1, got {Ms[0]}")
-    stats = _sweep(p, [(N * M, N, M, partial(nmc_replications, p, N, M), s.split(idx))
-                       for idx, M in enumerate(Ms)], R, None, workers)
+    stats = _sweep(p, [(N, M, R, partial(nmc_replications, p, N, M), s.split(idx))
+                       for idx, M in enumerate(Ms)], workers)
     truth = float(p.truth)
     rows = tuple(BiasRow(M=M, N=N, reps=R, mean_error=mean - truth, se=se,
                          predicted=None if p.expected_nmc_value is None
                          else float(p.expected_nmc_value(M)) - truth)
-                 for M, (_, mean, se, *_) in zip(Ms, stats))
+                 for M, (mean, se, *_) in zip(Ms, stats))
     fit, note = _fit([(r.M, abs(r.mean_error)) for r in rows], "degenerate: zero mean error")
     return BiasReport(model=p.name, N=N, rows=rows, fit=fit, fit_note=note,
                       root_seed=s.root_seed)
@@ -443,8 +444,8 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
     if not policies:
         raise ValueError("need at least one policy to compare")
     splits = [split_budget(policy, T) for policy in policies]
-    stats = [st[3:5] for st in _sweep(p, [(T, N, M, partial(nmc_replications, p, N, M), s)
-                                          for N, M in splits], R, None, workers)]
+    stats = [st[2:4] for st in _sweep(p, [(N, M, R, partial(nmc_replications, p, N, M), s)
+                                          for N, M in splits], workers)]
     order = sorted(range(len(stats)), key=lambda j: (stats[j][0], j))
     results = tuple(PolicyResult(policy=policies[j], N=splits[j][0], M=splits[j][1],
                                  mse=stats[j][0], mse_se=stats[j][1], rank=rank)

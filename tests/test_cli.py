@@ -229,6 +229,7 @@ def test_a_failed_fork_gives_the_one_worker_report(capsys, monkeypatch):
     # os.fork failing with EAGAIN ends the forking: the calling process runs
     # every span, so the run prints the --workers 1 bytes and exits 0.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     want = run_cli(capsys, _SEED_ARGS + ["--workers", "1"])
 
     def no_fork():

@@ -174,6 +174,12 @@ def _log(path):
         return [(int(pid), int(lo), event) for pid, lo, event in map(str.split, fh)]
 
 
+def _cpus(monkeypatch, n):
+    """Show this process n CPUs through both queries the worker clamp may read."""
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -190,7 +196,7 @@ def _no_fd_leaked_and_no_child_left():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_calling_process_is_worker_zero(monkeypatch, tmp_path, workers):
     # Two workers on any machine: the clamp to the core count is not under test.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     log, me = tmp_path / "spans", os.getpid()
     out = _fill_replications([(_logging_span(log), None, 8, 1)] * 4, workers)
     assert all(np.array_equal(vals, np.arange(8.0)) for vals, _ in out)
@@ -210,7 +216,7 @@ def test_failed_span_stops_the_schedule(monkeypatch, tmp_path):
     # caller runs fails.  No span starts after it but one the child began
     # as it failed; the started ones finish, every child is reaped, and the
     # error is raised here with its type and message.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     log = tmp_path / "spans"
     jobs = [(_logging_span(log, fail_in="parent"), None, 32, 1)] * 4
     with pytest.raises(RuntimeError, match="span at \\d+ failed in the parent$"):
@@ -230,7 +236,7 @@ def test_a_span_failed_in_a_child_is_run_by_the_caller(monkeypatch, tmp_path):
     # fails there and would not here: the caller runs it, with every span
     # the child's failure left undone, and the call returns the values of
     # one worker.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     log, me = tmp_path / "spans", os.getpid()
     out = _fill_replications([(_logging_span(log, fail_in="child"), None, 32, 1)] * 4, 2)
     assert all(np.array_equal(vals, np.arange(32.0)) for vals, _ in out)
@@ -248,7 +254,7 @@ def test_a_span_that_fails_everywhere_raises_its_own_error(monkeypatch, tmp_path
     # its error from this process, before any later span left undone: at
     # most two spans start after the child's failure, one begun as it
     # failed and the re-run.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     log, me = tmp_path / "spans", os.getpid()
     with pytest.raises(RuntimeError, match="^span at 4 failed in the parent$"):
         _fill_replications([(_logging_span(log, fail_at=4), None, 32, 1)], 2)
@@ -263,7 +269,7 @@ def test_every_span_runs_once_on_more_workers_than_cores(monkeypatch, tmp_path):
     # Eight workers whatever this machine has, so seven children share 155
     # spans with the caller: a span run twice or never would show in the
     # log or a value.
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _cpus(monkeypatch, 8)
     logs = [tmp_path / f"spans{k}" for k in range(5)]
     out = _fill_replications([(_logging_span(log, pause=0), None, 400, 1) for log in logs], 8)
     for log, (vals, pids) in zip(logs, out):
@@ -280,7 +286,7 @@ def test_span_edges_are_block_edges_above_one_worker(monkeypatch, tmp_path, work
     # divide neither R nor 4K.  A span is the fewest whole blocks that hold
     # ceil(R / 4K) replications: each edge is a multiple of its job's block
     # or is R, and a job has at most 4K spans.
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    _cpus(monkeypatch, workers)
     shapes = [(200, 4096), (200, 148), (200, 64), (20, 1), (1000, 7), (5, 3)]
     logs = [tmp_path / f"spans{k}" for k in range(len(shapes))]
 
@@ -307,7 +313,7 @@ def test_a_claimed_span_always_runs(monkeypatch, workers, R):
     # The children's spans are ten times as slow as the caller's, so the
     # caller finishes its share first: each child must still run its whole
     # share, and no replication keeps the 0.0 of a fresh mapping.
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    _cpus(monkeypatch, workers)
     me = os.getpid()
 
     def span(row, lo, hi):
@@ -325,7 +331,7 @@ def test_a_claimed_span_always_runs(monkeypatch, workers, R):
 def test_one_result_mapping_per_call(monkeypatch, workers):
     # The values of every row, the done flags and the stop flag share one
     # mapping, so a call makes exactly one, however many rows it has.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     made, real = [], mmap.mmap
 
     def counted(*args, **kwargs):
@@ -345,7 +351,7 @@ def test_one_result_mapping_per_call(monkeypatch, workers):
 def test_every_value_lands_in_place_over_many_spans(monkeypatch, workers):
     # 20,000 jobs of two replications: 20,000 or 40,000 spans, and every
     # value lands at its replication.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
 
     def span(row, lo, hi):
         return np.arange(lo, hi) + row, np.full(hi - lo, float(os.getpid()))
@@ -359,7 +365,7 @@ def test_every_value_lands_in_place_over_many_spans(monkeypatch, workers):
 def test_a_killed_child_leaves_its_spans_to_the_caller(monkeypatch):
     # A child killed by a signal leaves its spans to the caller, and the
     # call returns the values of one worker.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     me = os.getpid()
 
     def span(row, lo, hi):
@@ -377,7 +383,7 @@ def test_a_fork_that_fails_leaves_every_span_to_the_workers_made(monkeypatch):
     # os.fork fails with EAGAIN: the caller runs the missing child's share
     # in its re-run, so the call returns the values of one worker, leaks no
     # file descriptor and leaves no child, call after call.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
 
     def span(row, lo, hi):
         return np.arange(lo, hi) + row, np.zeros(hi - lo)
@@ -396,11 +402,52 @@ def test_a_fork_that_fails_leaves_every_span_to_the_workers_made(monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == fds and _no_child_left()
 
 
+def test_workers_clamp_to_the_cpus_this_process_may_run_on(monkeypatch):
+    # The machine has eight CPUs and this process's affinity set one: a
+    # two-worker race forks no child and gives the one-worker ranking.
+    p, policies = CATALOG["gauss-log"](), [TauPower(1, 1), FixedOuter(2)]
+    want = compare_policies(p, 256, policies, 8, make_root(2))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert compare_policies(p, 256, policies, 8, make_root(2), workers=2) == want
+
+
+_WORKER_RUNNERS = {
+    "convergence": lambda w: run_convergence(CATALOG["gauss-log"](), TauPower(1, 1), [16, 64],
+                                             4, make_root(1), workers=w),
+    "collapse": lambda w: run_collapse(CATALOG["linear-gauss"](), [16, 64], 4, make_root(1),
+                                       workers=w),
+    "fixed-inner": lambda w: run_fixed_inner(CATALOG["gauss-log"](), 4, [4, 16], 4,
+                                             make_root(1), workers=w),
+    "bias": lambda w: run_bias(CATALOG["gauss-log"](), 4, [2, 8], 4, make_root(1), workers=w),
+    "policies": lambda w: compare_policies(CATALOG["gauss-log"](), 64, [TauPower(1, 1)], 4,
+                                           make_root(1), workers=w),
+}
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+@pytest.mark.parametrize("runner", sorted(_WORKER_RUNNERS))
+def test_every_runner_refuses_fewer_than_one_worker(monkeypatch, runner, workers):
+    # The library path checks the worker count as the CLI does, before the
+    # scheduler is called.
+    def never(*args, **kwargs):
+        raise AssertionError("scheduler called")
+
+    monkeypatch.setattr(harness, "_fill_replications", never)
+    with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+        _WORKER_RUNNERS[runner](workers)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_no_pipe_is_made(monkeypatch, workers):
     # The shared mapping is all the processes share: a call that cannot
     # make a pipe still returns every value.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
 
     def no_pipe():
         raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
@@ -418,7 +465,7 @@ def test_worker_w_runs_spans_w_plus_multiples_of_k(monkeypatch, tmp_path):
     # Two jobs of 8 spans each (steps of 2 and 3 replications) on two
     # workers: the caller runs spans 0, 2, 4, ... of the whole table and
     # the child spans 1, 3, 5, ..., each in index order.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     logs, me = [tmp_path / "spans0", tmp_path / "spans1"], os.getpid()
     _fill_replications([(_logging_span(logs[0], pause=0), None, 16, 1),
                         (_logging_span(logs[1], pause=0), None, 24, 1)], 2)
@@ -436,7 +483,7 @@ def test_no_span_starts_after_a_failure(monkeypatch, tmp_path):
     # 4,096 one-replication spans on two workers.  The caller's first span
     # fails while the child is inside its share: the child finishes the
     # span it has begun and starts no other, and the caller starts none.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     log, me = tmp_path / "spans", os.getpid()
 
     def span(row, lo, hi):
@@ -475,7 +522,7 @@ def test_every_worker_count_draws_the_same_kernel_blocks(capsys, monkeypatch, tm
     # Every kernel block, in every process, logs its first stream key and its
     # replication count.  Above one worker spans are cut at block edges, so
     # two workers draw exactly the blocks of one and print its bytes.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     argv, count = _BLOCK_LINES[line]
     block = estimators.StreamBatch
 
@@ -496,7 +543,7 @@ def test_every_worker_count_draws_the_same_kernel_blocks(capsys, monkeypatch, tm
 def test_closure_models_give_the_same_report_on_forked_workers(monkeypatch):
     # Spans are inherited by the children, never pickled: a model built of
     # closures over local state runs on two workers, with one worker's bytes.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     shift, scale = 0.25, 1.5
 
     def outer(s):
@@ -595,7 +642,7 @@ def test_collapse_halves_replay_their_streams(monkeypatch, workers):
     # The collapsed half's row idx draws collapsed_replications on
     # s.split(0).split(idx); the nested half is run_convergence on s.split(1).
     # Both halves go to one scheduler call.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _cpus(monkeypatch, 2)
     p, s, budgets, R = CATALOG["linear-gauss"](), make_root(5), [64, 16, 300], 5
     calls = []
 
