@@ -8,14 +8,19 @@ kernel makes inner draws 2k and 2k+1 together, as two calls on <1,n>
 skipped ahead by 2k draws, one add to its key.
 
 One block loop (``_replicate``) draws every nested and collapsed estimate,
-for one replication or a span of a row's.  One block budget, ``_CHUNK``
-(2^16 elements, one pooled buffer), sizes every block, of a small row's
-replications or a large row's outer draws.  Blocks depend on (N, M)
-alone, and every mean runs over a contiguous last axis, so block grouping
-never changes a value.  One rule, ``_block_reps``, gives a block's
-replications, and the harness cuts spans above one worker at its
-multiples, so every worker count draws the same blocks.  Every array of
-a block comes from ``rng.take``, a pool of block-sized buffers per
+for one replication or a span of a row's.  One rule, ``_block_reps``,
+gives a block's replications, max(1, 2^16 // (N M)), and the harness cuts
+spans above one worker at its multiples, so every worker count draws the
+same blocks.  The nested estimator walks a block's outer draws in chunks
+whose stacked <0,n> and <1,n> keys fit one pooled buffer (``BUFFER_SIZE``,
+2^16 elements): a chunk derives both levels in one pass and draws its
+y_n in one call, then draws its inner samples in sub-blocks of
+max(1, 2^16 // M) outer draws, one budget of ``_CHUNK`` inner draws each.
+So a large row derives its keys once per chunk, not once per sub-block.
+The collapsed estimator takes 2^16 outer draws per chunk.  Chunks and
+sub-blocks depend on (N, M) and the block alone, and every mean runs over
+a contiguous last axis, so no grouping changes a value.  The draw arrays
+of a block come from ``rng.take``, a pool of block-sized buffers per
 thread, so the blocks of a span, and the spans after it, reuse the same
 buffers.  Samplers come from
 ``NestedProblem.batch_samplers``: a model without batch samplers has its
@@ -43,10 +48,11 @@ __all__ = [
 ]
 
 # The one block budget: max elements per sampling block, of a small row's
-# replications or a large row's outer draws, and max inner draws per
-# pairwise mean.  One pooled buffer, sized to stay cache-resident (the draw
-# pipeline makes many passes over each block).  Block edges depend only on
-# (N, M), never on worker count, so blocking cannot affect determinism.
+# replications, a sub-block's inner draws or a collapsed chunk's outer
+# draws, and max inner draws per pairwise mean.  One pooled buffer, sized
+# to stay cache-resident (the draw pipeline makes many passes over each
+# block).  Block edges depend only on (N, M), never on worker count, so
+# blocking cannot affect determinism.
 _CHUNK = BUFFER_SIZE
 
 @dataclass(frozen=True)
@@ -98,28 +104,30 @@ def _block_reps(N: int, M: int) -> int:
     return max(1, _CHUNK // (N * M))
 
 
+def _spans(n: int, size: int) -> list:
+    """(lo, hi) of the consecutive ranges of `size` indices that cover 0..n-1."""
+    return [(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
 def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     """(values, degenerate fractions) of the replications on the streams of `reps`.
 
-    terms(block, idx) gives the terms of outer draws `idx` of each stream
-    of `block`.  Blocks hold _block_reps(N, M) replications by
-    min(N, max(1, _CHUNK // M)) outer draws, so a small row's block fills
-    one pooled buffer, as a large row's does.  A block's terms of all N
-    outer draws go to one array made before any draw, so a row too large to
-    hold fails at once.  N and M below 1 raise ValueError.
+    Blocks hold _block_reps(N, M) replications, so a small row's block fills
+    one pooled buffer.  terms(block, fv) writes the terms of all N outer
+    draws of each stream of `block` to fv, of shape block.shape + (N,), made
+    before any draw, so a row too large to hold fails at once.  N and M
+    below 1 raise ValueError.
     """
     if N < 1 or M < 1:
         raise ValueError(f"N and M must be >= 1, got {N}, {M}")
     keys = reps.keys.reshape(-1)
-    step, outer = _block_reps(N, M), max(1, _CHUNK // M)
+    step = _block_reps(N, M)
     values, degenerate = np.empty(keys.size), np.empty(keys.size)
     for a in range(0, keys.size, step):
         block = StreamBatch(keys[a:a + step])
         fv = np.empty(block.shape + (N,))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for lo in range(0, N, outer):
-                fv[..., lo:lo + outer] = terms(
-                    block, np.arange(lo, min(lo + outer, N), dtype=np.uint64))
+            terms(block, fv)
         values[a:a + step], degenerate[a:a + step] = _finalize(fv)
     return values, degenerate / N
 
@@ -127,18 +135,28 @@ def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
 def _nested_terms(p: NestedProblem, M: int) -> Callable:
     """Nested-estimator terms f(y_n, inner mean of M draws) for _replicate.
 
+    A block's outer draws go in chunks whose stacked <0,n> and <1,n> keys,
+    2 x replications x draws, fit one pooled buffer; only a 1 x 1 row's
+    block of over 2^15 replications overflows it, at one draw per chunk.  A
+    chunk derives children (0, n) and (1, n) of each stream in one pass and
+    draws its y_n in one call.  Its inner draws go in sub-blocks of
+    max(1, _CHUNK // M) outer draws, one buffer of inner draws each.  A
+    chunk holds whole sub-blocks except at M = 1, where an inner mean has
+    one draw and cutting a sub-block changes no value.
+
     Inner draw m is call m of the inner sampler on <1,n>.  Pair k, draws 2k
     and 2k+1, is the first and second call on <1,n> skipped ahead by 2k
     draws; that equals calls 2k and 2k+1 in order only if the two calls
     take exactly two draws and leave no pending normal, which is checked.
     For odd M the second draw of the last pair goes unused.  Both calls'
-    draws go to one array in m order, and one phi call per block.
+    draws go to one array in m order, and one phi call per part of
+    _CHUNK inner draws.
     """
     offsets = skip_offsets(np.arange(0, M, 2, dtype=np.uint64))  # pair k skips 2k draws
     outer_batch, inner_batch = p.batch_samplers()
 
     def inner_phi(yb, inner, lo, hi):
-        # lo is 0 or a multiple of _CHUNK, so blocks start on a pair.  z is
+        # lo is 0 or a multiple of _CHUNK, so parts start on a pair.  z is
         # taken after the first call and the first draws are dropped before
         # the second, so neither call holds both arrays besides its own.
         pairs = inner.skip(offsets[lo // 2:(hi + 1) // 2])
@@ -153,15 +171,24 @@ def _nested_terms(p: NestedProblem, M: int) -> Callable:
                 "two draws and leave no pending normal")
         return p.phi(yb, z)
 
-    def terms(reps, idx):
-        y = outer_batch(reps.split(0).split_many(idx))
-        yb = y[..., None]
-        inner = reps.split(1).split_many(idx)
-        # One pairwise sum per chunk of _CHUNK inner draws, chunk sums combined
-        # once; with one chunk that is the pairwise sum np.mean takes.
-        parts = [np.add.reduce(inner_phi(yb, inner, lo, min(lo + _CHUNK, M)), axis=-1)
-                 for lo in range(0, M, _CHUNK)]
-        return p.f(y, np.add.reduce(np.stack(parts, axis=-1), axis=-1) / M)
+    def inner_mean(yb, inner):
+        # One pairwise sum per part of _CHUNK inner draws, part sums combined
+        # once; with one part that is the pairwise sum np.mean takes.
+        parts = [np.add.reduce(inner_phi(yb, inner, lo, hi), axis=-1)
+                 for lo, hi in _spans(M, _CHUNK)]
+        return np.add.reduce(np.stack(parts, axis=-1), axis=-1) / M
+
+    def terms(block, fv):
+        # A chunk is the whole sub-blocks whose stacked keys fit one buffer.
+        fit = max(1, BUFFER_SIZE // (2 * block.keys.size))
+        sub = min(max(1, _CHUNK // M), fit)
+        levels = block.split_many((0, 1))
+        for lo, hi in _spans(fv.shape[-1], fit - fit % sub):
+            keys = levels.split_many(np.arange(lo, hi, dtype=np.uint64)).keys
+            y = outer_batch(StreamBatch(keys[:, 0]))
+            for a, b in _spans(hi - lo, sub):
+                fv[:, lo + a:lo + b] = p.f(y[:, a:b], inner_mean(
+                    y[:, a:b, None], StreamBatch(keys[:, 1, a:b])))
     return terms
 
 
@@ -190,13 +217,17 @@ def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
 
 
 def _collapsed_terms(p: NestedProblem) -> Callable:
-    """Outer terms f(y_n, phi(y_n, z_n)), y_n and z_n drawn in order from child n."""
+    """Outer terms f(y_n, phi(y_n, z_n)), y_n and z_n drawn in order from child n.
+
+    A block's outer draws go in chunks of _CHUNK, one child stream each.
+    """
     outer_batch, inner_batch = p.batch_samplers()
 
-    def terms(reps, idx):
-        b = reps.split_many(idx)
-        y = outer_batch(b)
-        return p.f(y, p.phi(y, inner_batch(b, y)))
+    def terms(block, fv):
+        for lo, hi in _spans(fv.shape[-1], _CHUNK):
+            b = block.split_many(np.arange(lo, hi, dtype=np.uint64))
+            y = outer_batch(b)
+            fv[:, lo:hi] = p.f(y, p.phi(y, inner_batch(b, y)))
     return terms
 
 

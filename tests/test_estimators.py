@@ -11,11 +11,12 @@ from functools import partial
 import numpy as np
 import pytest
 
+from nestmc import estimators, models, rng
 from nestmc.estimators import (collapsed_estimate, collapsed_replications, nmc_estimate,
                                nmc_replications)
 from nestmc.harness import _fill_replications
 from nestmc.models import CATALOG, make_constant, make_gauss_log
-from nestmc.rng import make_root
+from nestmc.rng import BUFFER_SIZE, make_root, take
 
 
 def _scalar_variant(p):
@@ -177,6 +178,11 @@ def _per_replication(p, N, M, row, lo, hi):
     ("gauss-log", 8, 8, 5, 5 + 2 * 256 + 7),  # span inside one block
     ("gauss-log", 8, 8, 5, 5 + 2 * 1024 + 7),  # span not a multiple of R_blk = 2**16 // 64
     ("constant", 7, 9, 3, 600),
+    # Chunks of outer draws, whose stacked keys fill at most 2**16 elements:
+    ("gauss-log", 3, 65539, 0, 1),            # three sub-blocks of one outer draw
+    ("gauss-log", 40000, 2, 0, 1),            # two chunks: 2**15 draws and the rest
+    ("gauss-log", 256, 1, 0, 256),            # M = 1: two chunks cut the one sub-block
+    ("gauss-log", 9, 21, 0, 200),             # one chunk and one sub-block of 200 reps
 ])
 def test_nmc_replications_match_nmc_estimate(model, N, M, lo, hi):
     p = CATALOG[model]()
@@ -189,6 +195,25 @@ def test_nmc_replications_match_nmc_estimate(model, N, M, lo, hi):
     if N * M <= 1024:
         scalar = _per_replication(_scalar_variant(p), N, M, row, lo, lo + 3)[0]
         assert values[:3].tolist() == scalar
+
+
+@pytest.mark.parametrize("M", [65536, 16384])
+def test_large_row_draws_its_outer_values_once_per_replication(M):
+    # A sub-block holds 2**16 // M outer draws, one or four here.  The 16
+    # outer values of a replication come from one outer-sampler call, not
+    # one call per sub-block, and are the same values.
+    p = CATALOG["gauss-log"]()
+    calls = []
+
+    def outer_batch(b):
+        calls.append(b.shape)
+        return p.outer_batch(b)
+
+    row = make_root(5).split(0)
+    got = nmc_replications(dataclasses.replace(p, outer_batch=outer_batch), 16, M, row, 0, 2)
+    assert calls == [(1, 16), (1, 16)]
+    for a, b in zip(got, nmc_replications(p, 16, M, row, 0, 2)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_nmc_replications_some_degenerate():
@@ -205,9 +230,9 @@ def test_nmc_replications_some_degenerate():
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor-fault counts are compared on Linux only")
 def test_large_row_reuses_its_draw_buffers():
-    # 32 blocks of 2**16 inner draws.  Drawing each into fresh temporaries
-    # faults ~15k pages per call; reused buffers and cached pair offsets
-    # fault next to none.
+    # 32 sub-blocks of 2**16 inner draws.  Drawing each into fresh
+    # temporaries faults ~15k pages per call; reused pooled buffers fault
+    # next to none.
     p = CATALOG["gauss-log"]()
     row = make_root(5).split(0)
     nmc_replications(p, 16, 65536, row, 0, 2)
@@ -218,7 +243,7 @@ def test_large_row_reuses_its_draw_buffers():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor-fault counts are compared on Linux only")
-@pytest.mark.parametrize("N,M,R", [(32, 32, 200), (4, 4, 2000)])
+@pytest.mark.parametrize("N,M,R", [(32, 32, 200), (4, 4, 2000), (256, 1, 256)])
 def test_small_row_reuses_its_draw_buffers(N, M, R):
     # A small row's blocks fill whole pooled buffers, as a large row's do;
     # a second call draws into the buffers the first one faulted in.
@@ -228,6 +253,24 @@ def test_small_row_reuses_its_draw_buffers(N, M, R):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     nmc_replications(p, N, M, row, 0, R)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+@pytest.mark.parametrize("N,M,R", [(256, 1, 256), (4, 4, 2000), (40000, 2, 1),
+                                   (16, 65536, 2), (3, 65539, 1)])
+def test_every_kernel_array_fits_one_pooled_buffer(monkeypatch, N, M, R):
+    # At 256 x 1 a block holds 256 replications, so the stacked <0,n> and
+    # <1,n> keys of all its outer draws would be 2**17 elements and fall
+    # out of the pool; its outer draws go in two chunks instead.
+    asked = []
+
+    def counted(shape, dtype=np.uint64):
+        asked.append(math.prod(shape))
+        return take(shape, dtype)
+
+    for module in (rng, estimators, models):
+        monkeypatch.setattr(module, "take", counted)
+    nmc_replications(CATALOG["gauss-log"](), N, M, make_root(5).split(1), 0, R)
+    assert asked and max(asked) <= BUFFER_SIZE
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -5,7 +5,7 @@ Each case is one fixed command line whose report must equal its file under
 shape of the sampling kernel, which must not change a value: N*M = 1, rows
 of several replications per block and at the block budget (2**16
 elements, one replication per block), a row of
-one outer draw per block whose M inner draws take one pairwise mean
+one outer draw per sub-block whose M inner draws take one pairwise mean
 (2**15 < M <= 2**16), rows past the inner chunk (M > 2**16), rep schedules,
 CRN races, collapsed sweeps and a two-worker run.
 
@@ -76,7 +76,7 @@ CASES = {
         "converge", "--model", "gauss-log", "--policy", "fixed-outer:N=3",
         "--budgets", "12,60000,210000", "--reps", "5", "--seed", "8",
         "--format", "json", "--workers", "2"],
-    # M = 40000 at N = 2: one outer draw per block, its inner draws in one
+    # M = 40000 at N = 2: one outer draw per sub-block, its inner draws in one
     # pairwise mean.
     "converge-inner-row.csv": [
         "converge", "--model", "gauss-log", "--policy", "fixed-outer:N=2",

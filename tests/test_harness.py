@@ -519,18 +519,23 @@ _BLOCK_LINES = {
 
 @pytest.mark.parametrize("line", sorted(_BLOCK_LINES))
 def test_every_worker_count_draws_the_same_kernel_blocks(capsys, monkeypatch, tmp_path, line):
-    # Every kernel block, in every process, logs its first stream key and its
-    # replication count.  Above one worker spans are cut at block edges, so
-    # two workers draw exactly the blocks of one and print its bytes.
+    # Every replication block, in every process, logs its first stream key
+    # and its replication count; the batches a block makes inside go
+    # unlogged.  Above one worker spans are cut at block edges, so two
+    # workers draw exactly the blocks of one and print its bytes.
     _cpus(monkeypatch, 2)
     argv, count = _BLOCK_LINES[line]
-    block = estimators.StreamBatch
+    nested = estimators._nested_terms
 
-    def logged(keys):
-        _append(log, f"{keys[0]} {keys.size}\n")
-        return block(keys)
+    def logged(p, M):
+        terms = nested(p, M)
 
-    monkeypatch.setattr(estimators, "StreamBatch", logged)
+        def block(reps, fv):
+            _append(log, f"{reps.keys[0]} {reps.keys.size}\n")
+            terms(reps, fv)
+        return block
+
+    monkeypatch.setattr(estimators, "_nested_terms", logged)
     runs = []
     for workers in ("1", "2"):
         log = tmp_path / f"blocks{workers}"
