@@ -16,13 +16,15 @@ whose stacked <0,n> and <1,n> keys fit one pooled buffer (``BUFFER_SIZE``,
 2^16 elements): a chunk derives both levels in one pass and draws its
 y_n in one call, then draws its inner samples in sub-blocks of
 max(1, 2^16 // M) outer draws, one budget of ``_CHUNK`` inner draws each.
-So a large row derives its keys once per chunk, not once per sub-block.
+So a large row derives its keys once per chunk, not once per sub-block,
+and from cached index hashes of its levels and of the chunk's outer
+draws (``split_hashed``); the pair offsets of each M are cached too.
 The collapsed estimator takes 2^16 outer draws per chunk.  Chunks and
 sub-blocks depend on (N, M) and the block alone, and every mean runs over
 a contiguous last axis, so no grouping changes a value.  The draw arrays
-of a block come from ``rng.take``, a pool of block-sized buffers per
-thread, so the blocks of a span, and the spans after it, reuse the same
-buffers.  Samplers come from
+of a block, its terms and its inner-mean sums come from ``rng.take``, a
+pool of block-sized buffers per thread, so the blocks of a span, and the
+spans after it, reuse the same buffers.  Samplers come from
 ``NestedProblem.batch_samplers``: a model without batch samplers has its
 scalar ones run stream by stream under the same blocks, with the same
 values bit for bit.
@@ -31,13 +33,14 @@ values bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .problem import NestedProblem
-# index_hash is unused here; it stays bound for bench/tracing.py, which wraps it.
-from .rng import BUFFER_SIZE, RngStream, StreamBatch, index_hash, skip_offsets, take
+from .rng import (BUFFER_SIZE, RngStream, StreamBatch, _frozen, index_hash, skip_offsets,
+                  take)
 
 __all__ = [
     "Estimate",
@@ -54,6 +57,25 @@ __all__ = [
 # block).  Block edges depend only on (N, M), never on worker count, so
 # blocking cannot affect determinism.
 _CHUNK = BUFFER_SIZE
+
+
+# Pure functions of a block's shape, kept read-only across blocks and calls.
+# An outer-hash entry holds at most BUFFER_SIZE // 2 words (256 KB), a
+# chunk's most outer draws, and a pair-offset entry M / 2 words.
+_LEVEL_HASHES = _frozen(index_hash((0, 1)), np.uint64)
+
+
+@lru_cache(maxsize=8)
+def _outer_hashes(lo: int, hi: int) -> np.ndarray:
+    """index_hash of outer draws lo..hi-1, a chunk's split indices."""
+    return _frozen(index_hash(np.arange(lo, hi, dtype=np.uint64)), np.uint64)
+
+
+@lru_cache(maxsize=8)
+def _pair_offsets(M: int) -> np.ndarray:
+    """Skip offsets of the inner pairs of M draws: pair k skips 2k draws."""
+    return _frozen(skip_offsets(np.arange(0, M, 2, dtype=np.uint64)), np.uint64)
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -125,7 +147,7 @@ def _replicate(terms: Callable, N: int, M: int, reps: StreamBatch) -> tuple:
     values, degenerate = np.empty(keys.size), np.empty(keys.size)
     for a in range(0, keys.size, step):
         block = StreamBatch(keys[a:a + step])
-        fv = np.empty(block.shape + (N,))
+        fv = take(block.shape + (N,), np.float64)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             terms(block, fv)
         values[a:a + step], degenerate[a:a + step] = _finalize(fv)
@@ -152,7 +174,8 @@ def _nested_terms(p: NestedProblem, M: int) -> Callable:
     draws go to one array in m order, and one phi call per part of
     _CHUNK inner draws.
     """
-    offsets = skip_offsets(np.arange(0, M, 2, dtype=np.uint64))  # pair k skips 2k draws
+    offsets = _pair_offsets(M)
+    parts = _spans(M, _CHUNK)
     outer_batch, inner_batch = p.batch_samplers()
 
     def inner_phi(yb, inner, lo, hi):
@@ -173,18 +196,25 @@ def _nested_terms(p: NestedProblem, M: int) -> Callable:
 
     def inner_mean(yb, inner):
         # One pairwise sum per part of _CHUNK inner draws, part sums combined
-        # once; with one part that is the pairwise sum np.mean takes.
-        parts = [np.add.reduce(inner_phi(yb, inner, lo, hi), axis=-1)
-                 for lo, hi in _spans(M, _CHUNK)]
-        return np.add.reduce(np.stack(parts, axis=-1), axis=-1) / M
+        # once; with one part that is the pairwise sum np.mean takes.  The
+        # sums are taken once the first part is drawn, so they never hold a
+        # pooled buffer while a normal is being drawn.
+        for k, (lo, hi) in enumerate(parts):
+            values = inner_phi(yb, inner, lo, hi)
+            if k == 0:
+                sums = take(inner.shape + (len(parts),), np.float64)
+            np.add.reduce(values, axis=-1, out=sums[..., k])
+        mean = np.add.reduce(sums, axis=-1, out=take(inner.shape, np.float64))
+        mean /= M
+        return mean
 
     def terms(block, fv):
         # A chunk is the whole sub-blocks whose stacked keys fit one buffer.
         fit = max(1, BUFFER_SIZE // (2 * block.keys.size))
         sub = min(max(1, _CHUNK // M), fit)
-        levels = block.split_many((0, 1))
+        levels = block.split_hashed(_LEVEL_HASHES)
         for lo, hi in _spans(fv.shape[-1], fit - fit % sub):
-            keys = levels.split_many(np.arange(lo, hi, dtype=np.uint64)).keys
+            keys = levels.split_hashed(_outer_hashes(lo, hi)).keys
             y = outer_batch(StreamBatch(keys[:, 0]))
             for a, b in _spans(hi - lo, sub):
                 fv[:, lo + a:lo + b] = p.f(y[:, a:b], inner_mean(

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _constants as _C
 from .problem import GaussianInner, NestedProblem
-from .rng import take
+from .rng import _NEG_TWO, _ONE, _TWO, _frozen, take
 
 __all__ = [
     "make_gauss_log",
@@ -35,7 +35,7 @@ __all__ = [
     "MODEL_TAGS",
 ]
 
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_SQRT_2_OVER_PI = _frozen(math.sqrt(2.0 / math.pi))
 
 
 def _outer_uniform(s):
@@ -44,7 +44,11 @@ def _outer_uniform(s):
 
 
 def _outer_uniform_batch(b):
-    return 2.0 * b.uniforms() - 1.0
+    # 2u - 1 in place, on the uniforms' pooled buffer.
+    u = b.uniforms()
+    u *= _TWO
+    u -= _ONE
+    return u
 
 
 def _inner_normal(s, y):
@@ -61,7 +65,7 @@ def _phi_kernel(y, z):
     # float, where exp gives 1.0 from either.
     d = np.subtract(y, z, out=take(np.broadcast_shapes(np.shape(y), np.shape(z)), np.float64))
     d *= d
-    d *= -2.0
+    d *= _NEG_TWO
     np.exp(d, out=d)
     d *= _SQRT_2_OVER_PI
     return d[()]

@@ -63,15 +63,31 @@ _SEED_SALT = 0x5851F42D4C957F2D
 _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
-# uint64 copies for vectorised code paths (scalar numpy ops warn on wrap,
-# arrays wrap silently, python ints are masked by hand).
-_U_GOLDEN = np.uint64(_GOLDEN)
-_U_MIX_A = np.uint64(_MIX_A)
-_U_MIX_B = np.uint64(_MIX_B)
 _TO_UNIT = 2.0 ** -53
 _TO_HALF_ANGLE = np.pi / 4 * _TO_UNIT  # top 53 bits -> [0, pi/4)
-_SIGN = np.uint64(1 << 63)
-_S11, _S27, _S30, _S31, _S62, _S63 = (np.uint64(k) for k in (11, 27, 30, 31, 62, 63))
+
+
+def _frozen(value, dtype=np.float64) -> np.ndarray:
+    """`value` as a read-only array of `dtype` (itself, if it is one).
+
+    A 0-d one is a constant operand, which a ufunc takes faster than a
+    numpy or python scalar.
+    """
+    a = np.asarray(value, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+# 0-d operands for the array path (scalar numpy ops warn on wrap, arrays
+# wrap silently, python ints are masked by hand); the scalar path keeps
+# python numbers, so it returns python floats.
+_U_GOLDEN, _U_MIX_A, _U_MIX_B, _SIGN = (_frozen(k, np.uint64)
+                                        for k in (_GOLDEN, _MIX_A, _MIX_B, 1 << 63))
+_S11, _S27, _S30, _S31, _S62, _S63 = (_frozen(k, np.uint64) for k in (11, 27, 30, 31, 62, 63))
+_A_TO_UNIT, _A_TO_HALF_ANGLE = _frozen(_TO_UNIT), _frozen(_TO_HALF_ANGLE)
+_ONE, _TWO, _NEG_TWO = _frozen(1.0), _frozen(2.0), _frozen(-2.0)
+# Key offsets of a stream's first draws, the steps `StreamBatch._bits` adds.
+_STEPS = tuple(_frozen((k * _GOLDEN) & _MASK64, np.uint64) for k in range(1, 17))
 
 
 def _mix_int(z: int) -> int:
@@ -103,7 +119,8 @@ def _child_key_int(key: int, index: int) -> int:
 def index_hash(indices) -> np.ndarray:
     """Pre-hashed split indices for reuse across many `split_hashed` calls.
 
-    No estimator uses it; bench/sweep.py times it.
+    The nested estimator caches the hashes of its levels and of each
+    chunk's outer indices, so a block derives its keys without hashing.
     """
     return _mix_u64(np.asarray(indices, dtype=np.uint64) + _U_GOLDEN)
 
@@ -119,14 +136,14 @@ def _to_unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Top 53 bits -> float64 in [0, 1), written to `out`; shifts `bits` in place."""
     bits >>= _S11
     # Below 2**53 after the shift: the int64 view converts exactly, and faster.
-    return np.multiply(bits.view(np.int64), _TO_UNIT, out=out)
+    return np.multiply(bits.view(np.int64), _A_TO_UNIT, out=out)
 
 
 def _radius(u: np.ndarray) -> np.ndarray:
     """Box-Muller radius sqrt(-2 log(1 - u)), in place; 1-u lies in (0, 1]."""
-    np.subtract(1.0, u, out=u)
+    np.subtract(_ONE, u, out=u)
     np.log(u, out=u)
-    u *= -2.0
+    u *= _NEG_TWO
     return np.sqrt(u, out=u)
 
 
@@ -139,6 +156,7 @@ _COS = (-1.13596475577881948265e-11, 2.08757232129817482790e-09,
 _SIN = (1.58969099521155010221e-10, -2.50507602534068634195e-08,
         2.75573137070700676789e-06, -1.98412698298579493134e-04,
         8.33333333332248946124e-03, -1.66666666666666324348e-01)
+_A_COS, _A_SIN = (tuple(_frozen(c) for c in coeffs) for coeffs in (_COS, _SIN))
 
 
 def _zpoly(z, coeffs, out=None):
@@ -156,8 +174,10 @@ def _zpoly(z, coeffs, out=None):
 
 def _cos(b, out=None, z=None):
     """cos b on [-pi/4, pi/4): of a python float, or into `out` with `z` as scratch."""
-    c = _zpoly(b * b if z is None else np.multiply(b, b, out=z), _COS, out)
-    c += 1.0
+    if out is None:
+        return _zpoly(b * b, _COS) + 1.0
+    c = _zpoly(np.multiply(b, b, out=z), _A_COS, out)
+    c += _ONE
     return c
 
 
@@ -171,9 +191,11 @@ def _box_muller(u: np.ndarray, w: np.ndarray, out: np.ndarray, t: np.ndarray) ->
     r' is signed, the angle of (r', 2b') is uniform on the circle, so
     r' cos 2b' = t cos b' - r', written here, and r' sin 2b' = t sin b',
     from :func:`_sine_branch`, are independent standard normals, where
-    t = 2 r' cos b'.  `u` becomes r' and `w` becomes b' in place, and `t`
-    (float64, of their shape, as is `out`) receives t; both are scratch
-    first.  :func:`_box_muller_float` is the same on python numbers.
+    t = 2 r' cos b'.  `u` becomes r' in place, `t` (float64, of their
+    shape, as is `out`) receives b', and `w`'s memory receives t; each is
+    scratch first.  The cast of `w`'s bits writes another buffer, not its
+    own memory, which is faster.  :func:`_box_muller_float` is the same
+    on python numbers.
     """
     r = _radius(u)
     signs = out.view(np.uint64)
@@ -183,12 +205,13 @@ def _box_muller(u: np.ndarray, w: np.ndarray, out: np.ndarray, t: np.ndarray) ->
     np.left_shift(w, _S62, out=signs)
     signs &= _SIGN
     w >>= _S11
-    b = np.multiply(w.view(np.int64), _TO_HALF_ANGLE, out=w.view(np.float64))
+    b = np.multiply(w.view(np.int64), _A_TO_HALF_ANGLE, out=t)
     b_bits = b.view(np.uint64)
     b_bits ^= signs
+    t = w.view(np.float64)
     c = _cos(b, out, t)
     np.multiply(r, c, out=t)
-    t *= 2.0
+    t *= _TWO
     c *= t
     c -= r
     return t, b
@@ -215,10 +238,10 @@ def _sine_branch(t, b, out=None):
     this is the polynomial sine itself.
     """
     if out is None:
-        v, z = t * b, b * b
+        v, z, coeffs = t * b, b * b, _SIN
     else:
-        v, z = np.multiply(t, b, out=t), np.multiply(b, b, out=b)
-    s = _zpoly(z, _SIN, out)
+        v, z, coeffs = np.multiply(t, b, out=t), np.multiply(b, b, out=b), _A_SIN
+    s = _zpoly(z, coeffs, out)
     s *= v
     s += v
     return s
@@ -356,7 +379,7 @@ class StreamBatch:
 
     def split(self, index: int) -> "StreamBatch":
         """Child `index` of every stream in the batch; the shape is unchanged."""
-        return self._child(self.keys, np.uint64(_mix_int((index & _MASK64) + _GOLDEN)),
+        return self._child(self.keys, _frozen(_mix_int((index & _MASK64) + _GOLDEN), np.uint64),
                            self.shape)
 
     def split_many(self, indices) -> "StreamBatch":
@@ -392,7 +415,8 @@ class StreamBatch:
 
     def _bits(self) -> np.ndarray:
         """The raw 64-bit word of each stream's next draw."""
-        step = np.uint64(((self._counter + 1) * _GOLDEN) & _MASK64)
+        k = self._counter
+        step = _STEPS[k] if k < len(_STEPS) else _frozen(((k + 1) * _GOLDEN) & _MASK64, np.uint64)
         self._counter += 1
         return _mix_u64(np.add(self.keys, step, out=take(self.shape)))
 

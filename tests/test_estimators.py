@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import os
-import resource
+import subprocess
 import sys
 import threading
 from functools import partial
@@ -227,18 +227,41 @@ def test_nmc_replications_some_degenerate():
     assert values[degf < 1].tolist() == [v for v, d in zip(want_values, want_degf) if d < 1]
 
 
+# Two calls of one row in a fresh interpreter, which prints the minor faults
+# of the second.  In a fresh process no earlier test has freed large arrays
+# and so raised glibc's mmap and trim thresholds: the count does not depend
+# on which tests ran before.
+_REPEAT_FAULTS = """
+import resource, sys
+from nestmc.estimators import nmc_replications
+from nestmc.models import CATALOG
+from nestmc.rng import make_root
+N, M, R, split = map(int, sys.argv[1:])
+p, row = CATALOG["gauss-log"](), make_root(5).split(split)
+nmc_replications(p, N, M, row, 0, R)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+nmc_replications(p, N, M, row, 0, R)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _repeat_faults(N, M, R, split):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(estimators.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _REPEAT_FAULTS, str(N), str(M), str(R),
+                          str(split)], env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    return int(out.stdout)
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor-fault counts are compared on Linux only")
 def test_large_row_reuses_its_draw_buffers():
     # 32 sub-blocks of 2**16 inner draws.  Drawing each into fresh
-    # temporaries faults ~15k pages per call; reused pooled buffers fault
-    # next to none.
-    p = CATALOG["gauss-log"]()
-    row = make_root(5).split(0)
-    nmc_replications(p, 16, 65536, row, 0, 2)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    nmc_replications(p, 16, 65536, row, 0, 2)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    # temporaries faults ~15k pages per call; reused pooled buffers and
+    # cached pair offsets fault next to none.
+    assert _repeat_faults(16, 65536, 2, 0) < 100
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -247,12 +270,7 @@ def test_large_row_reuses_its_draw_buffers():
 def test_small_row_reuses_its_draw_buffers(N, M, R):
     # A small row's blocks fill whole pooled buffers, as a large row's do;
     # a second call draws into the buffers the first one faulted in.
-    p = CATALOG["gauss-log"]()
-    row = make_root(5).split(1)
-    nmc_replications(p, N, M, row, 0, R)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    nmc_replications(p, N, M, row, 0, R)
-    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+    assert _repeat_faults(N, M, R, 1) < 100
 
 
 @pytest.mark.parametrize("N,M,R", [(256, 1, 256), (4, 4, 2000), (40000, 2, 1),
@@ -271,6 +289,51 @@ def test_every_kernel_array_fits_one_pooled_buffer(monkeypatch, N, M, R):
         monkeypatch.setattr(module, "take", counted)
     nmc_replications(CATALOG["gauss-log"](), N, M, make_root(5).split(1), 0, R)
     assert asked and max(asked) <= BUFFER_SIZE
+
+
+@pytest.mark.parametrize("cached,fresh", [
+    (lambda: estimators._pair_offsets(65536),
+     lambda: rng.skip_offsets(np.arange(0, 65536, 2, dtype=np.uint64))),
+    (lambda: estimators._pair_offsets(7), lambda: rng.skip_offsets([0, 2, 4, 6])),
+    (lambda: estimators._outer_hashes(32768, 40000),
+     lambda: rng.index_hash(np.arange(32768, 40000))),
+    (lambda: estimators._LEVEL_HASHES, lambda: rng.index_hash([0, 1])),
+], ids=["offsets-65536", "offsets-7", "outer-32768-40000", "levels"])
+def test_cached_shape_arrays_are_read_only_and_exact(cached, fresh):
+    # The memos are shared by every block, call and thread: no one may
+    # write them, and they hold what a fresh computation gives.
+    a = cached()
+    assert a is cached()
+    assert a.dtype == np.uint64 and a.tobytes() == fresh().tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        a[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        a += np.uint64(1)
+
+
+@pytest.mark.parametrize("N,M,R,edges", [
+    (256, 1, 256, [(0, 128), (128, 256)]),
+    (40000, 2, 1, [(0, 32768), (32768, 40000)]),
+])
+def test_cached_index_hashes_split_as_split_many_at_chunk_edges(monkeypatch, N, M, R, edges):
+    # The kernel splits each chunk's keys from cached hashes; that must be
+    # split_many of the chunk's outer indices bit for bit, at every edge.
+    asked = []
+    cached = estimators._outer_hashes
+
+    def logged(lo, hi):
+        asked.append((lo, hi))
+        return cached(lo, hi)
+
+    monkeypatch.setattr(estimators, "_outer_hashes", logged)
+    nmc_replications(CATALOG["gauss-log"](), N, M, make_root(5).split(1), 0, R)
+    assert sorted(set(asked)) == edges
+    block = make_root(5).split(1).split_many(np.arange(R))
+    levels = block.split_hashed(estimators._LEVEL_HASHES)
+    assert levels.keys.tobytes() == block.split_many((0, 1)).keys.tobytes()
+    for lo, hi in edges:
+        got = levels.split_hashed(cached(lo, hi)).keys
+        assert got.tobytes() == levels.split_many(np.arange(lo, hi)).keys.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

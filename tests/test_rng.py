@@ -109,6 +109,14 @@ def test_gaussian_pairs_mix_both_transform_branches():
     assert abs(corr) < 0.02
 
 
+def test_a_stream_draws_python_floats():
+    # The scalar path is the kernel's independent oracle: python numbers
+    # throughout, never numpy scalars from the array path's 0-d operands.
+    s = make_root(8)
+    draws = [s.next_uniform(), s.next_gaussian(), s.next_gaussian(), s.next_gaussian()]
+    assert [type(x) for x in draws] == [float] * 4
+
+
 _STREAM_CHANGE = ("a change to the streams must be declared as a stream change and the "
                   "files under tests/golden/ regenerated (python tests/test_golden.py)")
 
