@@ -8,8 +8,8 @@ from .problem import GaussianInner, NestedProblem, gamma_quadrature, validate
 from .models import (CATALOG, MODEL_TAGS, make_gauss_log, make_bias_quadratic,
                      make_linear_gauss, make_constant, gamma_kernel_exact,
                      bias_quadratic_expected_value)
-from .estimators import (Estimate, nmc_estimate, nmc_replications,
-                         collapsed_estimate, collapsed_replications)
+from .estimators import (Estimate, Estimator, NESTED, COLLAPSED, nmc_estimate,
+                         nmc_replications, collapsed_estimate, collapsed_replications)
 from .allocation import (AllocationPolicy, FixedInner, FixedOuter, TauPower,
                          tau, split_budget, budget_grid, parse_policy)
 from .harness import (SlopeFit, ConvergenceRow, ConvergenceReport, BiasRow,
@@ -25,7 +25,7 @@ __all__ = [
     "CATALOG", "MODEL_TAGS", "make_gauss_log", "make_bias_quadratic",
     "make_linear_gauss", "make_constant", "gamma_kernel_exact",
     "bias_quadratic_expected_value",
-    "Estimate", "nmc_estimate",
+    "Estimate", "Estimator", "NESTED", "COLLAPSED", "nmc_estimate",
     "nmc_replications", "collapsed_estimate",
     "collapsed_replications",
     "AllocationPolicy", "FixedInner", "FixedOuter", "TauPower",

@@ -113,8 +113,9 @@ def split_budget(p: AllocationPolicy, T: int) -> Tuple[int, int]:
 
     For the power family, M is the largest inner count whose coupled spend
     tau(M)*M stays within T (monotone predicate, binary search, ties toward
-    larger M) and N = tau(M); an M whose tau overflows a float overspends.  Fixed policies spend the remainder by integer
-    division.  Raises ValueError when no (N, M) with both counts >= 1 fits.
+    larger M) and N = tau(M); an M whose tau overflows a float overspends.
+    Fixed policies spend the remainder by integer division.  Raises
+    ValueError when no (N, M) with both counts >= 1 fits.
     """
     if isinstance(p, FixedInner):
         if T < 1:

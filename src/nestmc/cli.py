@@ -273,8 +273,7 @@ def cmd_collapse(cfg: argparse.Namespace) -> int:
                                      make_root(cfg.seed),
                                      rep_schedule=_parse_schedule(cfg.rep_schedule),
                                      drop_smallest=cfg.drop_smallest, workers=cfg.workers)
-    rows = [[name] + _cells(r) for name, report in (("collapsed", collapsed), ("nested", nested))
-            for r in report.rows]
+    rows = [[rep.estimator.name] + _cells(r) for rep in (collapsed, nested) for r in rep.rows]
     _write_report(cfg, ["estimator"] + _columns(ConvergenceRow), rows,
                   (p.name, nested.policy.name),
                   [("collapsed_", collapsed.fit, collapsed.fit_note),

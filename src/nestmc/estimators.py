@@ -1,5 +1,13 @@
 """Monte Carlo estimators: nested and collapsed.
 
+Each estimator is a value, an ``Estimator(name, terms)``: ``NESTED`` and
+``COLLAPSED``.  terms(p, M) builds the outer-term function of a row and
+raises ValueError for a model the estimator does not admit (the collapsed
+one needs ``linear_g``), and ``Estimator.span(p, N, M)`` builds a row's
+terms once and returns the span(row, lo, hi) that the harness's scheduler
+runs.  The public functions (``nmc_estimate``, ``nmc_replications``,
+``collapsed_estimate``, ``collapsed_replications``) delegate to the two.
+
 Every estimator is a pure function of its stream: repeated calls with the
 same stream are bit-identical, and the per-draw stream layout (outer draw n
 on child <0,n>, inner draw m as call m of the inner sampler on child <1,n>)
@@ -43,7 +51,7 @@ from .rng import (BUFFER_SIZE, RngStream, StreamBatch, _frozen, index_hash, skip
                   take)
 
 __all__ = [
-    "Estimate",
+    "Estimate", "Estimator", "NESTED", "COLLAPSED",
     "nmc_estimate",
     "nmc_replications",
     "collapsed_estimate",
@@ -232,7 +240,7 @@ def nmc_estimate(p: NestedProblem, N: int, M: int, s: RngStream) -> Estimate:
     ``NestedProblem``).  Non-finite f outputs are excluded from the average
     and reported in ``degenerate_count``.
     """
-    return _estimate(_nested_terms(p, M), s, N, M)
+    return _estimate(NESTED.terms(p, M), s, N, M)
 
 
 def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
@@ -243,14 +251,21 @@ def nmc_replications(p: NestedProblem, N: int, M: int, row: RngStream,
     Entry r - lo equals nmc_estimate(p, N, M, row.split(r)).value and its
     degenerate_count / N bit for bit, whatever the span.
     """
-    return _replicate(_nested_terms(p, M), N, M, row.split_many(np.arange(lo, hi)))
+    return NESTED.span(p, N, M)(row, lo, hi)
 
 
-def _collapsed_terms(p: NestedProblem) -> Callable:
+def _collapsed_terms(p: NestedProblem, M: int) -> Callable:
     """Outer terms f(y_n, phi(y_n, z_n)), y_n and z_n drawn in order from child n.
 
     A block's outer draws go in chunks of _CHUNK, one child stream each.
+    A model without linear_g raises ValueError, since the nested expectation
+    collapses to a single one only for f linear in its second argument; so
+    does an M other than 1, since each outer draw takes one inner draw.
     """
+    if p.linear_g is None:
+        raise ValueError(f"model {p.name!r} has no linear_g; collapse requires linear f")
+    if M != 1:
+        raise ValueError(f"the collapsed estimator takes M = 1 inner draw, got M = {M}")
     outer_batch, inner_batch = p.batch_samplers()
 
     def terms(block, fv):
@@ -261,9 +276,29 @@ def _collapsed_terms(p: NestedProblem) -> Callable:
     return terms
 
 
-def _check_collapse(p: NestedProblem) -> None:
-    if p.linear_g is None:
-        raise ValueError(f"model {p.name!r} has no linear_g; collapse requires linear f")
+@dataclass(frozen=True)
+class Estimator:
+    """An estimator of the nested expectation: its name in reports and its terms.
+
+    terms(p, M) gives the terms function of an N x M row for ``_replicate``
+    and raises ValueError for a model (or M) the estimator does not admit.
+    """
+
+    name: str
+    terms: Callable
+
+    def span(self, p: NestedProblem, N: int, M: int) -> Callable:
+        """span(row, lo, hi): (values, degenerate_fracs) of replications lo..hi-1 of the N x M row.
+
+        The row's terms are built here, once, so a model the estimator does
+        not admit raises before any draw; replication r draws on row.split(r).
+        """
+        terms = self.terms(p, M)
+        return lambda row, lo, hi: _replicate(terms, N, M, row.split_many(np.arange(lo, hi)))
+
+
+NESTED = Estimator("nested", _nested_terms)
+COLLAPSED = Estimator("collapsed", _collapsed_terms)
 
 
 def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
@@ -274,8 +309,7 @@ def collapsed_estimate(p: NestedProblem, N: int, s: RngStream) -> Estimate:
     the plain MC rate.  One inner draw per outer draw, both taken in order
     from child stream n; total_draws = N.
     """
-    _check_collapse(p)
-    return _estimate(_collapsed_terms(p), s, N, 1)
+    return _estimate(COLLAPSED.terms(p, 1), s, N, 1)
 
 
 def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
@@ -286,5 +320,4 @@ def collapsed_replications(p: NestedProblem, N: int, row: RngStream,
     collapsed_estimate(p, N, row.split(r)), as nmc_replications does for
     the nested estimator.
     """
-    _check_collapse(p)
-    return _replicate(_collapsed_terms(p), N, 1, row.split_many(np.arange(lo, hi)))
+    return COLLAPSED.span(p, N, 1)(row, lo, hi)

@@ -4,16 +4,19 @@ Every runner follows the same pattern: a grid of configurations, R
 independent replications per grid row on streams derived from
 ``s.split(row_index).split(rep_index)``, and summary statistics against
 the model's exact truth.  Stream assignment by index makes every report
-bit-identical across runs and worker counts.  Every runner finishes its
-own checks, then hands all its rows to ``_sweep``, which checks what every
-run needs and makes one scheduler call per run (``_fill_replications``).
-The calling process is its first worker, and more workers are children
-made by ``os.fork`` (none where fork is missing: the count clamps to 1).  Python >= 3.12 warns when a process
-with live threads forks, and ``import numpy`` may already have started
-one: OpenBLAS starts a thread unless ``OPENBLAS_NUM_THREADS=1``.
-Every row is evaluated a block of replications at a time
-(``nmc_replications``, ``collapsed_replications``), whatever the model's
-samplers.
+bit-identical across runs and worker counts.  A row is an estimator
+(``estimators.NESTED`` or ``COLLAPSED``) at an (N, M) split: a
+convergence sweep is (estimator, policy, stream), and ``collapse`` runs
+``COLLAPSED`` under ``FixedInner(1)``.  Every runner finishes its own
+checks, then hands all its rows to ``_sweep``, which builds each row's
+span (``Estimator.span``), checks what every run needs and makes one
+scheduler call per run (``_fill_replications``).  The calling process is
+its first worker, and more workers are children made by ``os.fork``
+(none where fork is missing: the count clamps to 1).  Python >= 3.12
+warns when a process with live threads forks, and ``import numpy`` may
+already have started one: OpenBLAS starts a thread unless
+``OPENBLAS_NUM_THREADS=1``.  Every row is evaluated a block of
+replications at a time, whatever the model's samplers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
@@ -30,8 +32,7 @@ import numpy as np
 
 from .allocation import AllocationPolicy, FixedInner, TauPower, split_budget
 # nmc_estimate is unused here; it stays bound for bench/tracing.py, which wraps it.
-from .estimators import (_block_reps, _check_collapse, collapsed_replications, nmc_estimate,
-                         nmc_replications)
+from .estimators import COLLAPSED, NESTED, Estimator, _block_reps, nmc_estimate
 from .problem import NestedProblem
 from .rng import RngStream
 
@@ -85,7 +86,8 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     model: str
-    policy: Optional[AllocationPolicy]
+    estimator: Estimator
+    policy: AllocationPolicy
     rows: Tuple[ConvergenceRow, ...]
     fit: Optional[SlopeFit]
     fit_note: str
@@ -171,7 +173,7 @@ def _fill_replications(jobs: Sequence[Tuple[Callable, RngStream, int, int]],
     """(values, degenerate_fracs) of R replications of each job (span, row_stream, R, block).
 
     span(row_stream, lo, hi) gives the (values, degenerate_fracs) of
-    replications lo..hi-1, e.g. partial(nmc_replications, p, N, M), and
+    replications lo..hi-1, e.g. the span NESTED.span(p, N, M) builds, and
     replication r of a job uses the stream row_stream.split(r).  block is
     the job's kernel block, estimators._block_reps(N, M) replications.  At
     one worker a job is one span; above it a span is the fewest whole
@@ -287,23 +289,25 @@ def _grid(values: Sequence[int], what: str) -> list:
     return grid
 
 
-def _sweep(p: NestedProblem, rows: Sequence[Tuple[int, int, int, Callable, RngStream]],
+def _sweep(p: NestedProblem, rows: Sequence[Tuple[Estimator, int, int, int, RngStream]],
            workers: int) -> list:
-    """_row_statistics of each row (N, M, R, span, row_stream), from one scheduler call.
+    """_row_statistics of each row (estimator, N, M, R, row_stream), from one scheduler call.
 
-    A row draws R replications of the N x M estimator with span on the
-    children of row_stream.  Every rule a run needs is checked here, for
-    every caller, before any draw: the model's truth, R >= 2 for each row,
-    and workers >= 1.
+    A row draws R replications of its estimator's N x M row on the children
+    of row_stream, with the span that estimator.span(p, N, M) builds here.
+    Every rule a run needs is checked here, for every caller, before any
+    draw: that the model admits each row's estimator (building its span),
+    the model's truth, R >= 2 for each row, and workers >= 1.
     """
+    jobs = [(estimator.span(p, N, M), row, R, _block_reps(N, M))
+            for estimator, N, M, R, row in rows]
     if p.truth is None:
         raise ValueError(f"model {p.name!r} has no exact truth; error statistics need one")
-    for _, _, R, _, _ in rows:
+    for _, _, R, _ in jobs:
         if R < 2:
             raise ValueError(f"need R >= 2 replications, got {R}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    jobs = [(span, row, R, _block_reps(N, M)) for N, M, R, span, row in rows]
     return [_row_statistics(vals, degf, float(p.truth))
             for vals, degf in _fill_replications(jobs, workers)]
 
@@ -317,13 +321,14 @@ def _fit(points: Sequence[Tuple[float, float]], zero_note: str) -> tuple:
     return fit_loglog_slope(points), ""
 
 
-def _convergence(p: NestedProblem, sweeps: Sequence[Tuple[Optional[AllocationPolicy], RngStream]],
+def _convergence(p: NestedProblem,
+                 sweeps: Sequence[Tuple[Estimator, AllocationPolicy, RngStream]],
                  budgets: Sequence[int], R: int, rep_schedule: Optional[Mapping[int, int]],
                  drop_smallest: int, workers: int) -> list:
-    """A ConvergenceReport of the budget grid for each (policy, s) of `sweeps`, from one _sweep.
+    """A ConvergenceReport of the budget grid for each (estimator, policy, s) of `sweeps`.
 
-    A policy splits each budget T into (N, M); None runs the collapsed
-    estimator at N = T, M = 1.  Row idx of a sweep draws on s.split(idx),
+    The policy splits each budget T into (N, M), and every sweep's rows go
+    to one _sweep.  Row idx of a sweep draws on s.split(idx),
     rep_schedule[T] replications when the schedule names T and R otherwise;
     a schedule key that is no row's T raises ValueError.
     """
@@ -336,28 +341,20 @@ def _convergence(p: NestedProblem, sweeps: Sequence[Tuple[Optional[AllocationPol
             raise ValueError(f"rep schedule names T={T}, which is no row's budget "
                              f"(rows: T={', '.join(map(str, Ts))})")
     reps = [schedule.get(T, R) for T in Ts]
-    plans = []
-    for policy, _ in sweeps:
-        if policy is None:
-            _check_collapse(p)
-            plans.append([(T, T, 1, partial(collapsed_replications, p, T)) for T in Ts])
-        else:
-            splits = [(T, *split_budget(policy, T)) for T in Ts]
-            plans.append([(T, N, M, partial(nmc_replications, p, N, M)) for T, N, M in splits])
-    stats = iter(_sweep(p, [(N, M, R_T, span, s.split(idx))
-                            for (_, s), plan in zip(sweeps, plans)
-                            for idx, ((_, N, M, span), R_T) in enumerate(zip(plan, reps))],
+    plans = [[(T, *split_budget(policy, T)) for T in Ts] for _, policy, _ in sweeps]
+    stats = iter(_sweep(p, [(estimator, N, M, R_T, s.split(idx))
+                            for (estimator, _, s), plan in zip(sweeps, plans)
+                            for idx, ((_, N, M), R_T) in enumerate(zip(plan, reps))],
                         workers))
     reports = []  # zip takes each sweep's share of `stats` in turn
-    for (policy, s), plan in zip(sweeps, plans):
+    for (estimator, policy, s), plan in zip(sweeps, plans):
         rows = tuple(ConvergenceRow(T=T, N=N, M=M, reps=R_T, mean=mean, mse=mse, mse_se=mse_se,
                                     degenerate_frac=dfrac)
-                     for (T, N, M, _), R_T, (mean, _, mse, mse_se, dfrac)
-                     in zip(plan, reps, stats))
+                     for (T, N, M), R_T, (mean, _, mse, mse_se, dfrac) in zip(plan, reps, stats))
         fit, note = _fit([(r.T, r.mse) for r in rows[drop_smallest:] if not r.flagged],
                          "degenerate: zero MSE")
-        reports.append(ConvergenceReport(model=p.name, policy=policy, rows=rows, fit=fit,
-                                         fit_note=note, root_seed=s.root_seed))
+        reports.append(ConvergenceReport(model=p.name, estimator=estimator, policy=policy,
+                                         rows=rows, fit=fit, fit_note=note, root_seed=s.root_seed))
     return reports
 
 
@@ -371,7 +368,8 @@ def run_convergence(p: NestedProblem, policy: AllocationPolicy, budgets: Sequenc
     degenerate fraction reaches 10% are flagged and left out of the fit,
     as are the `drop_smallest` smallest budgets.
     """
-    return _convergence(p, [(policy, s)], budgets, R, rep_schedule, drop_smallest, workers)[0]
+    return _convergence(p, [(NESTED, policy, s)], budgets, R, rep_schedule, drop_smallest,
+                        workers)[0]
 
 
 def run_collapse(p: NestedProblem, budgets: Sequence[int], R: int, s: RngStream, *,
@@ -379,11 +377,12 @@ def run_collapse(p: NestedProblem, budgets: Sequence[int], R: int, s: RngStream,
                  workers: int = 1) -> Tuple[ConvergenceReport, ConvergenceReport]:
     """(collapsed, nested) convergence reports on one budget grid, drawn in one scheduler call.
 
-    The collapsed (single-expectation) estimator, T = N and M = 1, runs on
-    s.split(0); run_convergence under tau:alpha=1,c=1 on s.split(1).
-    Requires a model with linear_g.
+    The collapsed (single-expectation) estimator runs under FixedInner(1),
+    so T = N and M = 1, on s.split(0); run_convergence under
+    tau:alpha=1,c=1 on s.split(1).  Requires a model with linear_g.
     """
-    return tuple(_convergence(p, [(None, s.split(0)), (TauPower(1, 1), s.split(1))],
+    return tuple(_convergence(p, [(COLLAPSED, FixedInner(1), s.split(0)),
+                                  (NESTED, TauPower(1, 1), s.split(1))],
                               budgets, R, rep_schedule, drop_smallest, workers))
 
 
@@ -401,8 +400,7 @@ def run_bias(p: NestedProblem, N: int, Ms: Sequence[int], R: int, s: RngStream, 
     Ms = _grid(Ms, "inner-count")
     if Ms[0] < 1:
         raise ValueError(f"inner counts must be >= 1, got {Ms[0]}")
-    stats = _sweep(p, [(N, M, R, partial(nmc_replications, p, N, M), s.split(idx))
-                       for idx, M in enumerate(Ms)], workers)
+    stats = _sweep(p, [(NESTED, N, M, R, s.split(idx)) for idx, M in enumerate(Ms)], workers)
     truth = float(p.truth)
     rows = tuple(BiasRow(M=M, N=N, reps=R, mean_error=mean - truth, se=se,
                          predicted=None if p.expected_nmc_value is None
@@ -444,8 +442,7 @@ def compare_policies(p: NestedProblem, T: int, policies: Sequence[AllocationPoli
     if not policies:
         raise ValueError("need at least one policy to compare")
     splits = [split_budget(policy, T) for policy in policies]
-    stats = [st[2:4] for st in _sweep(p, [(N, M, R, partial(nmc_replications, p, N, M), s)
-                                          for N, M in splits], workers)]
+    stats = [st[2:4] for st in _sweep(p, [(NESTED, N, M, R, s) for N, M in splits], workers)]
     order = sorted(range(len(stats)), key=lambda j: (stats[j][0], j))
     results = tuple(PolicyResult(policy=policies[j], N=splits[j][0], M=splits[j][1],
                                  mse=stats[j][0], mse_se=stats[j][1], rank=rank)

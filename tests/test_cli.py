@@ -18,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nestmc import cli, harness
-from nestmc.allocation import TauPower, split_budget
+from nestmc.allocation import FixedInner, TauPower, split_budget
 from nestmc.cli import _cell, main
+from nestmc.estimators import NESTED
 from nestmc.models import CATALOG
 
 
@@ -189,6 +190,9 @@ _COLLAPSE_ARGS = ["collapse", "--model", "linear-gauss", "--budgets", "16,64", "
     ["collapse", "--model", "gauss-log", "--budgets", "16,64", "--reps", "4"],
     _COLLAPSE_ARGS + ["--rep-schedule", "17:3"],
     ["--rep-schedule", "16:3,17:3"],
+    # FixedInner(1) splits the collapsed sweep's budgets first, so T = 0
+    # faults there (see test_collapse_budget_zero_faults_in_the_collapsed_split).
+    ["collapse", "--model", "linear-gauss", "--budgets", "0,16"],
 ])
 def test_run_faults_exit_2_before_computing(capsys, monkeypatch, tmp_path, extra):
     # Every runner reaches the scheduler through this one entry.
@@ -200,6 +204,14 @@ def test_run_faults_exit_2_before_computing(capsys, monkeypatch, tmp_path, extra
     code, out, err = run_cli(capsys, [x.replace("{tmp}", str(tmp_path)) for x in argv])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_collapse_budget_zero_faults_in_the_collapsed_split(capsys):
+    # The collapsed sweep runs under FixedInner(1), whose split of T = 0 is
+    # the first fault of this grid, before the nested sweep's tau split.
+    code, out, err = run_cli(capsys, ["collapse", "--model", "linear-gauss",
+                                      "--budgets", "0,16"])
+    assert (code, out, err) == (2, "", "error: T must be >= 1, got 0\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -338,8 +350,8 @@ def test_exit_code_counts_more_than_a_tenth_flagged(flagged, code):
                                  degenerate_frac=0.0)
     rows = ([dataclasses.replace(row, degenerate_frac=1.0)] * flagged
             + [row] * (10 - flagged))
-    report = harness.ConvergenceReport(model="m", policy=None, rows=tuple(rows), fit=None,
-                                       fit_note="", root_seed=0)
+    report = harness.ConvergenceReport(model="m", estimator=NESTED, policy=FixedInner(4),
+                                       rows=tuple(rows), fit=None, fit_note="", root_seed=0)
     assert cli._exit_code(report) == code
 
 

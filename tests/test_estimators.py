@@ -11,10 +11,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from nestmc import estimators, models, rng
-from nestmc.estimators import (collapsed_estimate, collapsed_replications, nmc_estimate,
-                               nmc_replications)
-from nestmc.harness import _fill_replications
+from nestmc import estimators, harness, models, rng
+from nestmc.estimators import (COLLAPSED, collapsed_estimate, collapsed_replications,
+                               nmc_estimate, nmc_replications)
+from nestmc.harness import _fill_replications, run_collapse
 from nestmc.models import CATALOG, make_constant, make_gauss_log
 from nestmc.rng import BUFFER_SIZE, make_root, take
 
@@ -446,9 +446,27 @@ def test_collapsed_single_draw_definition():
     assert e.total_draws == 1 and e.n_inner == 1
 
 
-def test_collapsed_requires_linear_g():
-    with pytest.raises(ValueError):
-        collapsed_estimate(make_gauss_log(), 10, make_root(0))
+@pytest.mark.parametrize("call", [
+    lambda p: collapsed_estimate(p, 10, make_root(0)),
+    lambda p: collapsed_replications(p, 10, make_root(0), 0, 2),
+    lambda p: COLLAPSED.span(p, 10, 1),
+    lambda p: run_collapse(p, [16, 64], 4, make_root(0)),
+], ids=["collapsed_estimate", "collapsed_replications", "COLLAPSED.span", "run_collapse"])
+def test_collapsed_requires_linear_g(monkeypatch, call):
+    # One check, in the collapsed terms, guards every path to the estimator,
+    # and run_collapse raises it before the scheduler is reached.
+    def never(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(harness, "_fill_replications", never)
+    with pytest.raises(ValueError) as err:
+        call(make_gauss_log())
+    assert str(err.value) == "model 'gauss-log' has no linear_g; collapse requires linear f"
+
+
+def test_collapsed_estimator_takes_one_inner_draw():
+    with pytest.raises(ValueError, match="takes M = 1 inner draw, got M = 2"):
+        COLLAPSED.span(CATALOG["linear-gauss"](), 10, 2)
 
 
 def test_collapsed_batch_matches_scalar():

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from nestmc.allocation import FixedInner, FixedOuter, TauPower
-from nestmc import estimators, harness
+from nestmc import harness
 from nestmc.cli import main
-from nestmc.estimators import collapsed_replications, nmc_estimate, nmc_replications
+from nestmc.estimators import (COLLAPSED, NESTED, collapsed_replications, nmc_estimate,
+                               nmc_replications)
 from nestmc.harness import (_fill_replications, compare_policies, fit_loglog_slope,
                             run_bias, run_collapse, run_convergence, run_fixed_inner)
 from nestmc.models import CATALOG, bias_quadratic_expected_value
@@ -525,17 +526,16 @@ def test_every_worker_count_draws_the_same_kernel_blocks(capsys, monkeypatch, tm
     # workers draw exactly the blocks of one and print its bytes.
     _cpus(monkeypatch, 2)
     argv, count = _BLOCK_LINES[line]
-    nested = estimators._nested_terms
 
     def logged(p, M):
-        terms = nested(p, M)
+        terms = NESTED.terms(p, M)
 
         def block(reps, fv):
             _append(log, f"{reps.keys[0]} {reps.keys.size}\n")
             terms(reps, fv)
         return block
 
-    monkeypatch.setattr(estimators, "_nested_terms", logged)
+    monkeypatch.setattr(harness, "NESTED", dataclasses.replace(NESTED, terms=logged))
     runs = []
     for workers in ("1", "2"):
         log = tmp_path / f"blocks{workers}"
@@ -638,7 +638,7 @@ def test_collapsed_sweep_rows_and_rate():
     assert [(r.T, r.N, r.M) for r in rep.rows] == [(100, 100, 1),
                                                    (1000, 1000, 1),
                                                    (10000, 10000, 1)]
-    assert rep.policy is None
+    assert rep.estimator is COLLAPSED and rep.policy == FixedInner(1)
     assert -1.3 < rep.fit.slope < -0.7
 
 
@@ -664,7 +664,8 @@ def test_collapse_halves_replay_their_streams(monkeypatch, workers):
         assert all(np.array_equal(a, b) for a, b in zip(filled[idx], want))
         assert (r.N, r.M) == (r.T, 1)
     assert nested == run_convergence(p, TauPower(1, 1), budgets, R, s.split(1))
-    assert collapsed.policy is None and collapsed.root_seed == 5
+    assert collapsed.estimator is COLLAPSED and collapsed.policy == FixedInner(1)
+    assert collapsed.root_seed == 5
 
 
 # -------------------------------------------------------------------- run_bias
